@@ -15,26 +15,15 @@ import numpy as np
 
 from flyswarm.cli import main as flyswarm_main
 from flyswarm.config import rig_from_config
-from flyswarm.evolution import (
-    EvolutionParams,
-    Population,
-    StereoFrame,
-    evaluate_and_share,
-    select_and_refill,
-    step_generation,
-)
+from flyswarm.evolution import EvolutionParams, Population, StereoFrame, step_generation
 from flyswarm.synth import preset_scene, render_stereo_pair
-from flyswarm.warning import WarningParams, global_warning
+from flyswarm.warning import WarningParams
 
 
-def steady_state(frame, rig, params, wp, seed, generations=120, tail=30):
+def steady_state(frame, rig, params, wp, seed, generations=120):
     rng = np.random.default_rng(seed)
     pop = Population.initialize(rig, params, rng)
-    trace = []
-    for _ in range(generations):
-        evaluate_and_share(pop, frame, rig, params, wp)
-        trace.append(global_warning(pop, wp).global_mean)
-        select_and_refill(pop, rig, params, rng)
+    trace = [step_generation(pop, frame, rig, params, rng, wp).global_mean for _ in range(generations)]
     return np.array(trace), pop
 
 
@@ -74,11 +63,9 @@ def run(out_dir: Path, seed: int, generations: int) -> None:
     midpoint = (means["pedestrian-4m"] + means["empty-road"]) / 2
     reaction = None
     for g in range(1, 61):
-        evaluate_and_share(pop, frames["pedestrian-4m"], rig, params, wp)
-        w = global_warning(pop, wp).global_mean
+        w = step_generation(pop, frames["pedestrian-4m"], rig, params, rng, wp).global_mean
         if reaction is None and w > midpoint:
             reaction = g
-        select_and_refill(pop, rig, params, rng)
     print(f"crossed the presets' midpoint {midpoint:.1f} after {reaction} generations")
 
     print("\n== per-generation latency (population 5000, 640x480) ==")

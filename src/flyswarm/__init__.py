@@ -8,30 +8,27 @@ stereo renderer for ground-truth verification and a CLI.
 
 from .evolution import (
     EvolutionParams,
-    Fly,
     Population,
     StereoFrame,
     apply_sharing,
     crossover,
-    evaluate_fitness,
+    evaluate_and_share,
     evaluate_population,
-    immigrate,
     mutate,
     select,
     step_generation,
 )
-from .imaging import GradientMap, Image, PnmParseError, load_pnm, neighborhood_ssd, read_pnm, save_pnm, sobel_norm_map, write_pnm
+from .imaging import GradientMap, Image, PnmParseError, load_pnm, read_pnm, save_pnm, sobel_norm_map, write_pnm
 from .stereo_geometry import (
     CameraIntrinsics,
     Projection,
     SearchVolume,
     StereoRig,
     project,
-    sample_point,
     sample_points,
     search_volume,
 )
 from .synth import Scene, TexturedRect, ground_truth_depth, preset_scene, render_stereo_pair
-from .warning import WarningParams, WarningReport, global_warning, is_useless, top_k, warning_value
+from .warning import WarningParams, WarningReport, global_warning, top_k, warning_values
 
 __version__ = "0.1.0"

@@ -2,15 +2,15 @@
 
 detect/sequence print one `generation,global_warning` CSV line per
 generation to stdout, then the final global warning on its own line.
-All outputs are deterministic for a fixed seed; FLYSWARM_THREADS caps
-fitness-evaluation parallelism (default 1, which never changes results).
+Every generation runs through ``evolution.step_generation``. All outputs
+are deterministic for a fixed seed. Rejected input (flag and config
+values, PNM bytes) ends in exit code 2 and a one-line message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -29,10 +29,10 @@ from .config import (
     warning_params_from_config,
 )
 from .evolution import EvolutionParams, Population, StereoFrame
-from .imaging import Image, PnmParseError, read_pnm, write_pnm
+from .imaging import Image, read_pnm, write_pnm
 from .stereo_geometry import StereoRig, project_many
 from .synth import PRESET_NAMES, Scene, preset_scene, render_stereo_pair
-from .warning import WarningParams, global_warning, top_k
+from .warning import WarningParams, top_k
 
 MARKER_RGB = (255, 0, 0)
 
@@ -49,7 +49,6 @@ class RunConfig:
     preset: str | None = None
     scene: Scene | None = None
     overlay_top_k: int = 250
-    threads: int = 1
     emit_flies: bool = True
     emit_overlays: bool = True
 
@@ -58,19 +57,11 @@ class RunConfig:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("FLYSWARM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"FLYSWARM_THREADS must be an integer, got {raw!r}") from None
-
-
 def _build_run_config(args, default_generations: int) -> RunConfig:
     cfg = load_config(args.config) if args.config else {}
     rig = rig_from_config(cfg)
     evo = evolution_params_from_config(cfg)
-    if getattr(args, "population", None):
+    if getattr(args, "population", None) is not None:
         evo = EvolutionParams(**{**evo.__dict__, "population_size": args.population})
     if getattr(args, "seed", None) is not None:
         evo = EvolutionParams(**{**evo.__dict__, "rng_seed": args.seed})
@@ -90,7 +81,6 @@ def _build_run_config(args, default_generations: int) -> RunConfig:
         preset=getattr(args, "preset", None),
         scene=scene_from_config(cfg),
         overlay_top_k=get_int(cfg, "overlay_top_k", 250),
-        threads=_threads_from_env(),
         emit_flies=bool(get_int(cfg, "emit_flies", 1)),
         emit_overlays=bool(get_int(cfg, "emit_overlays", 1)),
     )
@@ -231,16 +221,13 @@ def _run_loop(rc: RunConfig, frames: list[tuple[Image, Image]], budget: int):
             frame = StereoFrame(left, right)
             current = (left, right)
         for _ in range(budget):
-            evolution.evaluate_and_share(pop, frame, rc.rig, rc.evo, rc.warn, threads=rc.threads)
-            report = global_warning(pop, rc.warn)
+            report = evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn)
             generation += 1
             trace.append((generation, report.global_mean))
             print(f"{generation},{_format_float(report.global_mean)}")
-            evolution.select_and_refill(pop, rc.rig, rc.evo, rng)
     # refresh fitness of the post-refill population so the emitted state
     # is fully evaluated against the last frame
-    evolution.evaluate_and_share(pop, frame, rc.rig, rc.evo, rc.warn, threads=rc.threads)
-    final = global_warning(pop, rc.warn)
+    final = evolution.evaluate_and_share(pop, frame, rc.rig, rc.evo, rc.warn)
     return pop, trace, final
 
 
@@ -285,17 +272,16 @@ def cmd_bench(rc: RunConfig) -> dict:
     rng = np.random.default_rng(rc.evo.rng_seed)
     pop = Population.initialize(rc.rig, rc.evo, rng)
     for _ in range(2):  # warmup
-        evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn, threads=rc.threads)
+        evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn)
     durations = []
     for _ in range(rc.generations):
         t0 = time.perf_counter()
-        evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn, threads=rc.threads)
+        evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn)
         durations.append((time.perf_counter() - t0) * 1e3)
     d = np.asarray(durations)
     report = {
         "population": len(pop),
         "generations": rc.generations,
-        "threads": rc.threads,
         "mean_ms": float(d.mean()),
         "p50_ms": float(np.percentile(d, 50)),
         "p90_ms": float(np.percentile(d, 90)),
@@ -358,7 +344,7 @@ def main(argv=None) -> int:
     try:
         rc = _build_run_config(args, args.default_generations)
         result = args.func(rc)
-    except (ConfigError, PnmParseError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ValueError covers ConfigError and PnmParseError
         print(f"flyswarm: error: {exc}", file=sys.stderr)
         return 2
     return result if isinstance(result, int) else 0

@@ -19,6 +19,7 @@ numbers. Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 from .evolution import EvolutionParams
@@ -64,9 +65,13 @@ def load_config(path) -> dict[str, list[str]]:
 def _numbers(value: str) -> list[float]:
     parts = value.replace(",", " ").split()
     try:
-        return [float(p) for p in parts]
+        numbers = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"expected numbers, got {value!r}") from None
+    # validators compare against bounds, and every comparison with NaN is false
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"expected finite numbers, got {value!r}")
+    return numbers
 
 
 def _single(cfg: dict, key: str) -> str | None:

@@ -5,11 +5,15 @@ is the scene description. One generation, in order:
 
 1. evaluate the raw fitness of every fly against the current frame,
 2. flag useless flies and apply fitness sharing,
-3. keep the best ``selection_ratio`` of the population (elitist,
+3. compute the global warning of the evaluated population,
+4. keep the best ``selection_ratio`` of the population (elitist,
    deterministic, ties to the lower index),
-4. refill the vacated slots with barycentric crossover, Gaussian
+5. refill the vacated slots with barycentric crossover, Gaussian
    mutation and fresh immigrants,
-5. increment the generation counter.
+6. increment the generation counter.
+
+``step_generation`` is the only generation body and returns the warning
+report; ``evaluate_and_share`` re-evaluates the final population.
 
 The fitness of a fly is the product of the Sobel gradient norms at its
 two projections divided by the (epsilon-shifted) sum of squared
@@ -18,30 +22,21 @@ surface project onto matching, gradient-rich windows and score high;
 flies in front of or behind a surface compare unrelated windows; flies
 over uniform regions are killed by the gradient product.
 
-The population is stored as structure-of-arrays so a full generation at
-population 5000 stays well inside a real-time budget; ``Fly`` records
-are views for inspection and small-scale use.
+The population is stored as structure-of-arrays and every operator
+works on whole arrays, so a full generation at population 5000 stays
+well inside a real-time budget.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GradientMap, Image, neighborhood_ssd, sobel_norm_map
-from .stereo_geometry import (
-    StereoRig,
-    project,
-    project_many,
-    sample_point,
-    sample_points,
-    search_volume,
-    visible_many,
-)
-from .warning import WarningParams, flag_useless
+from .imaging import Image, sobel_norm_map
+from .stereo_geometry import StereoRig, project_many, sample_points, search_volume, visible_many
+from .warning import WarningParams, WarningReport, flag_useless, global_warning
 
 MUTATION_RESAMPLE_LIMIT = 8
 
@@ -51,20 +46,6 @@ MUTATION_RESAMPLE_LIMIT = 8
 # fly stay inside the sub-pixel disparity band of a surface. Wider
 # defaults measurably slow the reaction to scene changes.
 DEFAULT_SIGMA_FRACTION = 0.001
-
-
-@dataclass
-class Fly:
-    """One individual: a world point plus its last evaluation results."""
-
-    position: np.ndarray
-    raw_fitness: float = 0.0
-    shared_fitness: float = 0.0
-    penalized: bool = False
-
-    @classmethod
-    def at(cls, x: float, y: float, z: float) -> "Fly":
-        return cls(np.array([x, y, z], dtype=np.float64))
 
 
 @dataclass
@@ -92,7 +73,9 @@ class EvolutionParams:
     def __post_init__(self):
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
-        for name in ("selection_ratio", "mutation_fraction", "crossover_fraction", "immigration_fraction"):
+        if not (0.0 < self.selection_ratio <= 1.0):
+            raise ValueError(f"selection_ratio must be in (0, 1], got {self.selection_ratio}")
+        for name in ("mutation_fraction", "crossover_fraction", "immigration_fraction"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
@@ -128,14 +111,6 @@ class Population:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def fly(self, i: int) -> Fly:
-        return Fly(
-            self.positions[i].copy(),
-            float(self.raw_fitness[i]),
-            float(self.shared_fitness[i]),
-            bool(self.penalized[i]),
-        )
-
 
 class StereoFrame:
     """One stereo pair with everything the fitness needs precomputed.
@@ -158,34 +133,14 @@ class StereoFrame:
         self._grad_right_flat = self.grad_right.norms.reshape(n_px)
 
 
-def evaluate_fitness(
-    fly: Fly,
-    left: Image,
-    right: Image,
-    grad_left: GradientMap,
-    grad_right: GradientMap,
-    rig: StereoRig,
-    params: EvolutionParams,
-) -> float:
-    """Stereo photo-consistency score of a single fly; 0 if not visible."""
-    n = params.neighborhood_radius
-    proj = project(rig, fly.position, margin=n)
-    if not proj.visible:
-        return 0.0
-    xl = int(np.rint(proj.left_px[0]))
-    yl = int(np.rint(proj.left_px[1]))
-    xr = int(np.rint(proj.right_px[0]))
-    yr = int(np.rint(proj.right_px[1]))
-    numerator = grad_left.norms[yl, xl] * grad_right.norms[yr, xr]
-    ssd = neighborhood_ssd(left, right, (xl, yl), (xr, yr), n)
-    return float(numerator / (params.fitness_epsilon + ssd))
-
-
-def _evaluate_block(positions: np.ndarray, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> np.ndarray:
+def evaluate_population(population: Population, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> None:
+    """Raw fitness for every fly; 0 for flies whose windows leave either image."""
+    positions = population.positions
     n = params.neighborhood_radius
     w, h = frame.left.width, frame.left.height
     if w < 2 * n + 1 or h < 2 * n + 1:
-        return np.zeros(positions.shape[0], dtype=np.float64)
+        population.raw_fitness[:] = 0.0
+        return
     u_left, u_right, v = project_many(rig, positions)
     vis = visible_many(rig, u_left, u_right, v, positions[:, 2], margin=n)
 
@@ -206,32 +161,7 @@ def _evaluate_block(positions: np.ndarray, frame: StereoFrame, rig: StereoRig, p
     ssd = np.einsum("nkc,nkc->n", diff, diff)
 
     numerator = frame._grad_left_flat[centre_l] * frame._grad_right_flat[centre_r]
-    return np.where(vis, numerator / (params.fitness_epsilon + ssd), 0.0)
-
-
-def evaluate_population(
-    population: Population,
-    frame: StereoFrame,
-    rig: StereoRig,
-    params: EvolutionParams,
-    threads: int = 1,
-) -> None:
-    """Raw fitness for every fly. Per-fly work is independent, so the
-    optional thread fan-out cannot change the result."""
-    pos = population.positions
-    n = len(population)
-    if threads > 1 and n >= 2 * threads:
-        edges = np.linspace(0, n, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _evaluate_block(pos[se[0] : se[1]], frame, rig, params),
-                    zip(edges[:-1], edges[1:]),
-                )
-            )
-        population.raw_fitness[:] = np.concatenate(parts)
-    else:
-        population.raw_fitness[:] = _evaluate_block(pos, frame, rig, params)
+    population.raw_fitness[:] = np.where(vis, numerator / (params.fitness_epsilon + ssd), 0.0)
 
 
 def apply_sharing(population: Population, rig: StereoRig, params: EvolutionParams) -> None:
@@ -270,18 +200,15 @@ def select(population: Population, params: EvolutionParams) -> np.ndarray:
     return np.sort(order[:k])
 
 
-def _position_of(individual) -> np.ndarray:
-    pos = individual.position if isinstance(individual, Fly) else individual
-    return np.asarray(pos, dtype=np.float64)
-
-
-def crossover(parent1, parent2, lam: float) -> np.ndarray:
-    """Barycentric offspring lam * p1 + (1 - lam) * p2, lam in [0, 1]."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    p1 = _position_of(parent1)
-    p2 = _position_of(parent2)
-    return lam * p1 + (1.0 - lam) * p2
+def crossover(parent1: np.ndarray, parent2: np.ndarray, lam) -> np.ndarray:
+    """Barycentric offspring lam * p1 + (1 - lam) * p2 per parent row;
+    ``lam`` in [0, 1] is a scalar or one weight per row."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim == 1:
+        lam = lam[:, None]
+    if np.any((lam < 0.0) | (lam > 1.0)):
+        raise ValueError("lambda must be in [0, 1]")
+    return lam * parent1 + (1.0 - lam) * parent2
 
 
 def resolve_mutation_sigma(params: EvolutionParams, rig: StereoRig) -> np.ndarray:
@@ -294,24 +221,9 @@ def resolve_mutation_sigma(params: EvolutionParams, rig: StereoRig) -> np.ndarra
     return DEFAULT_SIGMA_FRACTION * (hi - lo)
 
 
-def mutate(parent, rig: StereoRig, params: EvolutionParams, rng: np.random.Generator) -> np.ndarray:
-    """Add per-axis Gaussian noise; retry on leaving the volume, then clamp."""
-    vol = search_volume(rig, params.neighborhood_radius)
-    sigma = resolve_mutation_sigma(params, rig)
-    pos = _position_of(parent)
-    cand = pos + rng.normal(0.0, sigma)
-    for _ in range(MUTATION_RESAMPLE_LIMIT):
-        if vol.contains(cand[None, :])[0]:
-            return cand
-        cand = pos + rng.normal(0.0, sigma)
-    if vol.contains(cand[None, :])[0]:
-        return cand
-    return vol.clamp(cand[None, :])[0]
-
-
-def _mutate_batch(
-    parents: np.ndarray, rig: StereoRig, params: EvolutionParams, rng: np.random.Generator
-) -> np.ndarray:
+def mutate(parents: np.ndarray, rig: StereoRig, params: EvolutionParams, rng: np.random.Generator) -> np.ndarray:
+    """Add per-axis Gaussian noise to each (N, 3) parent row; redraw the
+    rows that leave the volume up to MUTATION_RESAMPLE_LIMIT times, then clamp."""
     vol = search_volume(rig, params.neighborhood_radius)
     sigma = resolve_mutation_sigma(params, rig)
     out = parents + rng.normal(0.0, sigma, size=parents.shape)
@@ -325,11 +237,6 @@ def _mutate_batch(
     if bad.any():
         out[bad] = vol.clamp(out[bad])
     return out
-
-
-def immigrate(rig: StereoRig, rng: np.random.Generator, margin: int = 2) -> np.ndarray:
-    """Fresh random individual; keeps exploring as the scene changes."""
-    return sample_point(rig, rng, margin=margin)
 
 
 def _offspring_counts(params: EvolutionParams, slots: int) -> tuple[int, int, int]:
@@ -350,17 +257,6 @@ def select_and_refill(
 ) -> None:
     """Selection plus offspring phases; bumps the generation counter."""
     survivors = select(population, params)
-    _refill(population, survivors, rig, params, rng)
-    population.generation_index += 1
-
-
-def _refill(
-    population: Population,
-    survivors: np.ndarray,
-    rig: StereoRig,
-    params: EvolutionParams,
-    rng: np.random.Generator,
-) -> None:
     n = len(population)
     s = survivors.size
     slots = n - s
@@ -379,11 +275,10 @@ def _refill(
     if n_cross:
         i = rng.integers(0, s, size=n_cross)
         j = (i + 1 + rng.integers(0, s - 1, size=n_cross)) % s  # uniform over the others
-        lam = rng.random(n_cross)[:, None]
-        children[:n_cross] = lam * surv_pos[i] + (1.0 - lam) * surv_pos[j]
+        children[:n_cross] = crossover(surv_pos[i], surv_pos[j], rng.random(n_cross))
     if n_mut:
         parents = surv_pos[rng.integers(0, s, size=n_mut)]
-        children[n_cross : n_cross + n_mut] = _mutate_batch(parents, rig, params, rng)
+        children[n_cross : n_cross + n_mut] = mutate(parents, rig, params, rng)
     if n_imm:
         children[n_cross + n_mut :] = sample_points(rig, rng, n_imm, margin=params.neighborhood_radius)
 
@@ -395,6 +290,7 @@ def _refill(
     population.shared_fitness[s:] = 0.0
     population.penalized[:s] = surv_pen
     population.penalized[s:] = False
+    population.generation_index += 1
 
 
 def evaluate_and_share(
@@ -403,13 +299,14 @@ def evaluate_and_share(
     rig: StereoRig,
     params: EvolutionParams,
     warning_params: WarningParams | None = None,
-    threads: int = 1,
-) -> None:
-    """Evaluation phase: raw fitness, penalization flags, sharing."""
+) -> WarningReport:
+    """Evaluation phase: raw fitness, penalization flags, sharing; returns
+    the warning report of the evaluated population."""
     wp = warning_params if warning_params is not None else WarningParams()
-    evaluate_population(population, frame, rig, params, threads=threads)
+    evaluate_population(population, frame, rig, params)
     flag_useless(population, rig, wp)
     apply_sharing(population, rig, params)
+    return global_warning(population, wp)
 
 
 def step_generation(
@@ -419,9 +316,10 @@ def step_generation(
     params: EvolutionParams,
     rng: np.random.Generator,
     warning_params: WarningParams | None = None,
-    threads: int = 1,
-) -> None:
+) -> WarningReport:
     """One full generation against the given frame. Size-preserving and
-    deterministic for a fixed seed."""
-    evaluate_and_share(population, frame, rig, params, warning_params, threads=threads)
+    deterministic for a fixed seed. Returns the warning report of the
+    population as evaluated, before selection and refill."""
+    report = evaluate_and_share(population, frame, rig, params, warning_params)
     select_and_refill(population, rig, params, rng)
+    return report

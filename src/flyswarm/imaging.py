@@ -1,4 +1,4 @@
-"""Intensity rasters, binary PNM I/O, Sobel norm maps and window SSD.
+"""Intensity rasters, binary PNM I/O and Sobel norm maps.
 
 Images are stored as uint8 numpy arrays, (H, W) for grey and (H, W, 3)
 for colour, and are treated as immutable once constructed. Pixel
@@ -154,23 +154,3 @@ def sobel_norm_map(image: Image) -> GradientMap:
     norms[1:-1, 1:-1] = np.hypot(gx, gy)
     return GradientMap(image.width, image.height, norms)
 
-
-def neighborhood_ssd(left: Image, right: Image, p_left, p_right, radius: int) -> float:
-    """Sum over channels and a (2r+1)^2 window of squared intensity differences.
-
-    ``p_left`` / ``p_right`` are integer (column, row) window centres. Both
-    windows must lie fully inside their images; callers guarantee this via
-    the projection visibility margin.
-    """
-    if left.channels != right.channels:
-        raise ValueError("left and right images must have the same channel count")
-    xl, yl = int(p_left[0]), int(p_left[1])
-    xr, yr = int(p_right[0]), int(p_right[1])
-    r = int(radius)
-    for (x, y, img, name) in ((xl, yl, left, "left"), (xr, yr, right, "right")):
-        if x - r < 0 or y - r < 0 or x + r >= img.width or y + r >= img.height:
-            raise ValueError(f"{name} window centred at ({x}, {y}) with radius {r} leaves the image")
-    a = left.samples[yl - r : yl + r + 1, xl - r : xl + r + 1].astype(np.float64)
-    b = right.samples[yr - r : yr + r + 1, xr - r : xr + r + 1].astype(np.float64)
-    d = a - b
-    return float(np.sum(d * d))

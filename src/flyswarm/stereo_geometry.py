@@ -254,8 +254,3 @@ def sample_points(
         out[filled : filled + take] = kept[:take]
         filled += take
     return out
-
-
-def sample_point(rig: StereoRig, rng: np.random.Generator, margin: int = DEFAULT_MARGIN_PX) -> np.ndarray:
-    """Single uniform draw from the search volume."""
-    return sample_points(rig, rng, 1, margin)[0]

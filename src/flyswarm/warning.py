@@ -46,17 +46,13 @@ class WarningReport:
 
 
 def useless_mask(positions: np.ndarray, rig: StereoRig, params: WarningParams) -> np.ndarray:
+    """Height above the road is y + camera mounting height."""
     height = positions[:, 1] + rig.camera_height_m
     return (
         (height > params.max_height_m)
         | (height < params.min_height_m)
         | (positions[:, 2] > params.max_range_m)
     )
-
-
-def is_useless(fly, rig: StereoRig, params: WarningParams) -> bool:
-    """Height above the road is fly.y + camera mounting height."""
-    return bool(useless_mask(np.asarray(fly.position, dtype=np.float64)[None, :], rig, params)[0])
 
 
 def flag_useless(population, rig: StereoRig, params: WarningParams) -> None:
@@ -72,15 +68,6 @@ def warning_values(
     values = raw_fitness / (x * x * z)
     values[penalized] = 0.0
     return values
-
-
-def warning_value(fly, params: WarningParams) -> float:
-    """Per-fly warning; reads the penalization flag set by flag_useless."""
-    if fly.penalized:
-        return 0.0
-    x = max(abs(float(fly.position[0])), params.x_clamp_m)
-    z = max(float(fly.position[2]), params.z_clamp_m)
-    return float(fly.raw_fitness) / (x * x * z)
 
 
 def global_warning(population, params: WarningParams) -> WarningReport:

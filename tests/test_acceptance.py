@@ -17,16 +17,14 @@ from flyswarm.evolution import (
     StereoFrame,
     apply_sharing,
     crossover,
-    evaluate_and_share,
     evaluate_population,
     select,
-    select_and_refill,
     step_generation,
 )
 from flyswarm.imaging import Image
 from flyswarm.stereo_geometry import project_many, sample_points, visible_many
 from flyswarm.synth import ground_truth_depth, preset_scene, render_stereo_pair
-from flyswarm.warning import WarningParams, global_warning, top_k, warning_values
+from flyswarm.warning import WarningParams, warning_values
 
 from test_evolution import naive_fitness
 
@@ -376,10 +374,8 @@ def test_persistent_population_reacts_no_slower(steady_means, session_rig):
             pop = Population.initialize(session_rig, params, rng)
         midpoint = (ped[seed] + empty[seed]) / 2
         for g in range(1, POST_SWITCH_FRAMES + 1):
-            evaluate_and_share(pop, ped_frame, session_rig, params, wp)
-            if global_warning(pop, wp).global_mean > midpoint:
+            if step_generation(pop, ped_frame, session_rig, params, rng, wp).global_mean > midpoint:
                 return g
-            select_and_refill(pop, session_rig, params, rng)
         return POST_SWITCH_FRAMES + 1
 
     persistent = [crossing(s, restart=False) for s in SEEDS[:3]]

@@ -226,36 +226,6 @@ class TestDetectCommand:
         assert not (out / "flies.csv").exists()
         assert not (out / "overlay_left.ppm").exists()
 
-    def test_threads_env_does_not_change_outputs(self, tmp_path, monkeypatch):
-        def run(threads, out):
-            if threads:
-                monkeypatch.setenv("FLYSWARM_THREADS", threads)
-            else:
-                monkeypatch.delenv("FLYSWARM_THREADS", raising=False)
-            assert (
-                main(
-                    [
-                        "detect",
-                        "--preset",
-                        "pedestrian-4m",
-                        "--out",
-                        str(out),
-                        "--seed",
-                        "4",
-                        "--generations",
-                        "6",
-                        "--population",
-                        "500",
-                    ]
-                )
-                == 0
-            )
-            return (out / "flies.csv").read_bytes()
-
-        serial = run(None, tmp_path / "serial")
-        threaded = run("3", tmp_path / "threaded")
-        assert serial == threaded
-
     def test_dimension_mismatch_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "rig.conf"
         conf.write_text("image_size = 320, 240\nfocal_length_px = 250\nprincipal_point = 160, 120\n")
@@ -276,6 +246,45 @@ class TestDetectCommand:
         )
         assert code == 2
         assert "rig expects" in capsys.readouterr().err
+
+
+class TestFailureContract:
+    """Bad input ends in exit code 2 and a one-line message, never in a
+    traceback or a silently applied default."""
+
+    def run_detect(self, tmp_path, capsys, *extra, config=None):
+        argv = ["detect", "--preset", "empty-road", "--out", str(tmp_path / "out"), "--generations", "1"]
+        if config is not None:
+            conf = tmp_path / "run.conf"
+            conf.write_text(config)
+            argv += ["--config", str(conf)]
+        capsys.readouterr()
+        code = main(argv + list(extra))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_population_zero_is_not_ignored(self, tmp_path, capsys):
+        code, out, err = self.run_detect(tmp_path, capsys, "--population", "0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "population_size" in err
+
+    def test_population_one_is_an_input_error(self, tmp_path, capsys):
+        code, _, err = self.run_detect(tmp_path, capsys, "--population", "1")
+        assert code == 2
+        assert err.startswith("flyswarm: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["baseline_m = 0", "baseline_m = nan", "selection_ratio = 0", "z_max_m = inf"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, line):
+        code, out, err = self.run_detect(tmp_path, capsys, config=line + "\n")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("flyswarm: error:") and err.count("\n") == 1
+
+    def test_non_finite_config_number_rejected(self):
+        for value in ("nan", "inf", "-inf", "0.4, nan"):
+            with pytest.raises(ConfigError, match="finite"):
+                rig_from_config(parse_config_text(f"baseline_m = {value}\n"))
 
 
 class TestSequenceCommand:

@@ -4,14 +4,12 @@ from hypothesis import given, strategies as st
 
 from flyswarm.evolution import (
     EvolutionParams,
-    Fly,
     Population,
     StereoFrame,
     _offspring_counts,
     apply_sharing,
     crossover,
     evaluate_and_share,
-    evaluate_fitness,
     evaluate_population,
     mutate,
     select,
@@ -52,77 +50,68 @@ def naive_fitness(position, left, right, grad_left, grad_right, rig, params):
     return num / (params.fitness_epsilon + ssd)
 
 
+def fitness_of(positions, frame, rig, params) -> np.ndarray:
+    pop = Population(np.atleast_2d(np.asarray(positions, dtype=np.float64)))
+    evaluate_population(pop, frame, rig, params)
+    return pop.raw_fitness
+
+
 class TestFitness:
     def test_uniform_region_scores_zero(self, default_rig, default_params):
         flat = Image.from_array(np.full((480, 640), 90, dtype=np.uint8))
-        g = sobel_norm_map(flat)
-        fly = Fly.at(0.0, 0.0, 5.0)
-        assert evaluate_fitness(fly, flat, flat, g, g, default_rig, default_params) == 0.0
+        frame = StereoFrame(flat, flat)
+        assert fitness_of([0.0, 0.0, 5.0], frame, default_rig, default_params).tolist() == [0.0]
 
-    def test_invisible_scores_zero(self, default_rig, default_params, pedestrian_pair):
-        left, right = pedestrian_pair
-        gl, gr = sobel_norm_map(left), sobel_norm_map(right)
-        fly = Fly.at(50.0, 0.0, 2.0)  # far outside both fields of view
-        assert not project(default_rig, fly.position).visible
-        assert evaluate_fitness(fly, left, right, gl, gr, default_rig, default_params) == 0.0
+    def test_invisible_scores_zero(self, default_rig, default_params, pedestrian_frame):
+        position = [50.0, 0.0, 2.0]  # far outside both fields of view
+        assert not project(default_rig, position).visible
+        assert fitness_of(position, pedestrian_frame, default_rig, default_params).tolist() == [0.0]
 
     def test_identical_windows_hit_epsilon_floor(self, default_rig, default_params):
         # right image is the left shifted by the fly's pixel disparity, so
         # the windows match exactly and F = g_l * g_r / epsilon
         rng = np.random.default_rng(0)
         base = rng.integers(0, 256, size=(480, 700), dtype=np.uint8)
-        fly = Fly.at(0.0, 0.0, 10.0)  # disparity f*b/z = 20 px
+        position = [0.0, 0.0, 10.0]  # disparity f*b/z = 20 px
         left = Image.from_array(base[:, :640])
         right = Image.from_array(base[:, 20 : 640 + 20])
         gl, gr = sobel_norm_map(left), sobel_norm_map(right)
-        got = evaluate_fitness(fly, left, right, gl, gr, default_rig, default_params)
-        p = project(default_rig, fly.position)
+        [got] = fitness_of(position, StereoFrame(left, right), default_rig, default_params)
+        p = project(default_rig, position)
         g1 = gl.norms[int(np.rint(p.left_px[1])), int(np.rint(p.left_px[0]))]
         g2 = gr.norms[int(np.rint(p.right_px[1])), int(np.rint(p.right_px[0]))]
         assert g1 > 0
         assert got == pytest.approx(g1 * g2 / default_params.fitness_epsilon, rel=1e-12)
 
-    def test_on_surface_beats_displaced(self, session_rig, default_params, pedestrian_scene, pedestrian_pair):
-        left, right = pedestrian_pair
-        gl, gr = sobel_norm_map(left), sobel_norm_map(right)
+    def test_on_surface_beats_displaced(self, session_rig, default_params, pedestrian_scene, pedestrian_frame):
         rect = pedestrian_scene.obstacles[0]
         rng = np.random.default_rng(1)
-        checked = 0
-        for _ in range(80):
-            x = rng.uniform(-rect.width_m / 2 + 0.05, rect.width_m / 2 - 0.05)
-            y = rect.center[1] + rng.uniform(-rect.height_m / 2 + 0.2, rect.height_m / 2 - 0.2)
-            on = evaluate_fitness(Fly.at(x, y, 4.0), left, right, gl, gr, session_rig, default_params)
-            if on == 0.0:  # projection landed on a flat texture cell
-                continue
-            off = evaluate_fitness(Fly.at(x, y, 5.0), left, right, gl, gr, session_rig, default_params)
-            assert on > off
-            checked += 1
-        assert checked >= 20
+        x = rng.uniform(-rect.width_m / 2 + 0.05, rect.width_m / 2 - 0.05, 80)
+        y = rect.center[1] + rng.uniform(-rect.height_m / 2 + 0.2, rect.height_m / 2 - 0.2, 80)
+        on = fitness_of(np.column_stack([x, y, np.full(80, 4.0)]), pedestrian_frame, session_rig, default_params)
+        off = fitness_of(np.column_stack([x, y, np.full(80, 5.0)]), pedestrian_frame, session_rig, default_params)
+        textured = on > 0.0  # the others landed on a flat texture cell
+        assert np.all(on[textured] > off[textured])
+        assert textured.sum() >= 20
 
     def test_batch_matches_scalar_and_naive(self, session_rig, default_params, pedestrian_pair):
-        left, right = pedestrian_pair
-        frame = StereoFrame(left, right)
+        # naive_fitness is the scalar, one-fly-at-a-time oracle; the colour
+        # pair applies one channel mix to both views, so it stays photo-consistent
+        colour_pair = tuple(
+            Image.from_array(np.stack([s, 255 - s, (s.astype(np.uint16) * 3 % 256).astype(np.uint8)], axis=2))
+            for s in (pedestrian_pair[0].samples, pedestrian_pair[1].samples)
+        )
         rng = np.random.default_rng(2)
         pts = sample_points(session_rig, rng, 300, margin=default_params.neighborhood_radius)
-        pop = Population(pts)
-        evaluate_population(pop, frame, session_rig, default_params)
-        for i in range(len(pop)):
-            scalar = evaluate_fitness(
-                pop.fly(i), left, right, frame.grad_left, frame.grad_right, session_rig, default_params
-            )
-            oracle = naive_fitness(
-                pts[i], left, right, frame.grad_left, frame.grad_right, session_rig, default_params
-            )
-            assert pop.raw_fitness[i] == pytest.approx(scalar, rel=1e-12)
-            assert pop.raw_fitness[i] == pytest.approx(oracle, rel=1e-9)
-
-    def test_threaded_evaluation_identical(self, session_rig, default_params, pedestrian_frame):
-        rng = np.random.default_rng(3)
-        pop = Population(sample_points(session_rig, rng, 500))
-        evaluate_population(pop, pedestrian_frame, session_rig, default_params, threads=1)
-        serial = pop.raw_fitness.copy()
-        evaluate_population(pop, pedestrian_frame, session_rig, default_params, threads=4)
-        assert np.array_equal(serial, pop.raw_fitness)
+        for left, right in (pedestrian_pair, colour_pair):
+            frame = StereoFrame(left, right)
+            got = fitness_of(pts, frame, session_rig, default_params)
+            assert np.count_nonzero(got) >= 100
+            for i in range(len(pts)):
+                oracle = naive_fitness(
+                    pts[i], left, right, frame.grad_left, frame.grad_right, session_rig, default_params
+                )
+                assert got[i] == pytest.approx(oracle, rel=1e-9)
 
     def test_intensity_shift_leaves_fitness(self, session_rig, default_params, pedestrian_pair):
         left, right = pedestrian_pair
@@ -249,14 +238,23 @@ class TestCrossover:
         assert got.tolist() == [1.0, 6.0, 5.0]
 
     def test_accepts_fly_records(self):
-        got = crossover(Fly.at(1, 1, 1), Fly.at(3, 3, 3), 0.5)
-        assert got.tolist() == [2.0, 2.0, 2.0]
+        # (N, 3) parent records with one weight per row, as the refill uses it
+        rng = np.random.default_rng(12)
+        p1 = rng.uniform(-5, 5, size=(40, 3))
+        p2 = rng.uniform(-5, 5, size=(40, 3))
+        lam = rng.random(40)
+        got = crossover(p1, p2, lam)
+        assert got.shape == (40, 3)
+        for k in range(40):
+            assert np.array_equal(got[k], crossover(p1[k], p2[k], lam[k]))
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError):
             crossover(np.zeros(3), np.ones(3), 1.2)
         with pytest.raises(ValueError):
             crossover(np.zeros(3), np.ones(3), -0.1)
+        with pytest.raises(ValueError):
+            crossover(np.zeros((3, 3)), np.ones((3, 3)), np.array([0.5, 1.0001, 0.5]))
 
     @given(
         lam=st.floats(0, 1),
@@ -274,8 +272,8 @@ class TestMutate:
     def test_zero_sigma_is_identity(self, default_rig):
         params = EvolutionParams(mutation_sigma=(0.0, 0.0, 0.0))
         rng = np.random.default_rng(8)
-        parent = np.array([0.2, -0.3, 6.0])
-        assert np.array_equal(mutate(parent, default_rig, params, rng), parent)
+        parents = np.array([[0.2, -0.3, 6.0], [-1.0, 0.4, 12.0]])
+        assert np.array_equal(mutate(parents, default_rig, params, rng), parents)
 
     def test_gaussian_statistics(self, default_rig):
         # interior parent, sigma far from any boundary: sample mean and
@@ -283,7 +281,7 @@ class TestMutate:
         params = EvolutionParams(mutation_sigma=(0.1, 0.1, 0.1))
         rng = np.random.default_rng(9)
         parent = np.array([0.0, 0.0, 10.0])
-        draws = np.array([mutate(parent, default_rig, params, rng) for _ in range(100_000)])
+        draws = mutate(np.tile(parent, (100_000, 1)), default_rig, params, rng)
         deltas = draws - parent
         for axis in range(3):
             assert abs(deltas[:, axis].mean()) < 3 * 0.1 / np.sqrt(100_000)
@@ -295,8 +293,7 @@ class TestMutate:
         # parents hugging the near boundary to force clamps
         parents = vol.clamp(np.tile([-3.0, -1.0, 1.0], (200, 1)))
         params = EvolutionParams(mutation_sigma=(2.0, 2.0, 2.0))
-        for p in parents[:50]:
-            assert vol.contains(mutate(p, default_rig, params, rng)[None, :])[0]
+        assert vol.contains(mutate(parents, default_rig, params, rng)).all()
 
 
 class TestStepGeneration:
@@ -315,6 +312,17 @@ class TestStepGeneration:
         step_generation(pop, frame, small_rig, params, rng)
         assert len(pop) == params.population_size
         assert pop.generation_index == 1
+
+    def test_returns_report_of_evaluated_population(self, small_rig):
+        # the report describes the population before selection and refill
+        pop, frame, params, rng = self._setup(small_rig)
+        step_generation(pop, frame, small_rig, params, rng)
+        twin = Population(pop.positions)
+        expected = evaluate_and_share(twin, frame, small_rig, params)
+        report = step_generation(pop, frame, small_rig, params, rng)
+        assert np.array_equal(report.per_fly, expected.per_fly)
+        assert report.global_mean == expected.global_mean
+        assert not np.array_equal(pop.positions, twin.positions)
 
     def test_deterministic_trajectory(self, small_rig):
         runs = []
@@ -366,3 +374,9 @@ def test_params_validation():
         EvolutionParams(fitness_epsilon=0.0)
     with pytest.raises(ValueError):
         EvolutionParams(selection_ratio=1.5)
+
+
+def test_zero_selection_ratio_rejected():
+    # used to be accepted and silently clamped to a single survivor
+    with pytest.raises(ValueError, match="selection_ratio"):
+        EvolutionParams(selection_ratio=0.0)

@@ -1,0 +1,45 @@
+"""Golden outputs: a refactor must leave these bytes unchanged.
+
+A7 only shows that two runs of the same code agree. These hashes pin the
+outputs of a fixed-seed ``detect`` (A7's run) and a short ``sequence``
+across code changes. A change that alters behaviour on purpose updates
+the hashes and says why in CHANGES.md. Measured with numpy 2.4.6.
+"""
+
+import hashlib
+import shutil
+
+from flyswarm.cli import main
+
+A7_FLIES = "7e0f1c2e420450a8022e0cbb2907ad5c7bd7d7b71798a2dd9d53853e288709a0"
+A7_TRACE = "285c0cc603d410e4f1648ea076b23746cd3df11e0073de3c187e7b32b7c3ebbd"
+SEQUENCE_FLIES = "494a34134669945b08538bc1bee2c61ed0cd7ea9ec4133947498f477af372d22"
+SEQUENCE_TRACE = "b075adb10ea63205b10e1b0972000a27be87dfaba3638f6f32f3a9900e38b9d7"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_detect_a7_run(tmp_path):
+    out = tmp_path / "a7"
+    argv = ["detect", "--preset", "pedestrian-4m", "--seed", "11", "--population", "1500", "--generations", "25"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sha256(out / "flies.csv") == A7_FLIES
+    assert sha256(out / "warning_trace.csv") == A7_TRACE
+
+
+def test_sequence_empty_then_pedestrian(tmp_path):
+    for preset in ("empty-road", "pedestrian-4m"):
+        assert main(["synth", "--preset", preset, "--out", str(tmp_path / preset)]) == 0
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i, preset in enumerate(["empty-road"] * 3 + ["pedestrian-4m"] * 3):
+        shutil.copy(tmp_path / preset / "left.pgm", frames / f"L_{i}.pgm")
+        shutil.copy(tmp_path / preset / "right.pgm", frames / f"R_{i}.pgm")
+    out = tmp_path / "seq"
+    argv = ["sequence", "--left", str(frames / "L_*.pgm"), "--right", str(frames / "R_*.pgm")]
+    argv += ["--seed", "3", "--population", "800", "--generations", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert sha256(out / "flies.csv") == SEQUENCE_FLIES
+    assert sha256(out / "warning_trace.csv") == SEQUENCE_TRACE

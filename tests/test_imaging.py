@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flyswarm.evolution import EvolutionParams, Population, StereoFrame, evaluate_population
 from flyswarm.imaging import (
     Image,
     PnmParseError,
     load_pnm,
-    neighborhood_ssd,
     save_pnm,
     sobel_norm_map,
 )
+from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig
 
 
 def grey(arr) -> Image:
@@ -133,68 +134,125 @@ def ssd_oracle(a, b, pl, pr, n):
     return total
 
 
+def window_fitness(left: Image, right: Image, centres, radius: int, epsilon: float = 1.0) -> np.ndarray:
+    """Batch fitness of one fly per ((x_left, y), (x_right, y)) centre pair.
+
+    A rig with focal length 100 px, baseline 1 m and the principal point
+    at the origin puts a fly at depth 100 / (x_left - x_right) onto
+    exactly those pixels.
+    """
+    rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), left.width, left.height), baseline_m=1.0)
+    positions = []
+    for (xl, y), (xr, yr) in centres:
+        assert y == yr and xl > xr  # rectified rig: same row, positive disparity
+        z = 100.0 / (xl - xr)
+        positions.append((xl * z / 100.0 - 0.5, -y * z / 100.0, z))
+    pop = Population(np.array(positions, dtype=np.float64))
+    params = EvolutionParams(neighborhood_radius=radius, fitness_epsilon=epsilon)
+    evaluate_population(pop, StereoFrame(left, right), rig, params)
+    return pop.raw_fitness
+
+
+def fitness_oracle(a, b, pl, pr, n, epsilon=1.0):
+    gl = sobel_norm_map(Image.from_array(a)).norms[pl[1], pl[0]]
+    gr = sobel_norm_map(Image.from_array(b)).norms[pr[1], pr[0]]
+    assert gl * gr > 0  # otherwise the fitness would not depend on the SSD
+    return gl * gr / (epsilon + ssd_oracle(a, b, pl, pr, n))
+
+
 class TestNeighborhoodSsd:
+    """The window SSD, the fitness denominator, read through the batch
+    fitness of ``evolution.evaluate_population``."""
+
     def test_identical_windows_zero(self):
+        # the right view is the left shifted by 3 columns
         rng = np.random.default_rng(6)
-        arr = rng.integers(0, 256, size=(7, 7), dtype=np.uint8)
-        img = grey(arr)
-        assert neighborhood_ssd(img, img, (3, 3), (3, 3), 2) == 0.0
+        base = rng.integers(0, 256, size=(7, 12), dtype=np.uint8)
+        left, right = grey(base[:, :9]), grey(base[:, 3:12])
+        got = window_fitness(left, right, [((5, 3), (2, 3))], 2)
+        gl, gr = sobel_norm_map(left).norms[3, 5], sobel_norm_map(right).norms[3, 2]
+        assert gl == gr > 0
+        assert got.tolist() == [gl * gr / 1.0]
 
     def test_single_pixel(self):
-        a = grey([[10]])
-        b = grey([[13]])
-        assert neighborhood_ssd(a, b, (0, 0), (0, 0), 0) == 9.0
+        rng = np.random.default_rng(11)
+        a = rng.integers(0, 256, size=(5, 6), dtype=np.uint8)
+        b = rng.integers(0, 256, size=(5, 6), dtype=np.uint8)
+        a[2, 3], b[2, 1] = 10, 13
+        got = window_fitness(grey(a), grey(b), [((3, 2), (1, 2))], 0)
+        gl, gr = sobel_norm_map(grey(a)).norms[2, 3], sobel_norm_map(grey(b)).norms[2, 1]
+        assert got[0] == gl * gr / (1.0 + 9.0)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.integers(0, 256, size=(9, 9), dtype=np.uint8)
         b = rng.integers(0, 256, size=(9, 9), dtype=np.uint8)
-        got = neighborhood_ssd(grey(a), grey(b), (4, 3), (2, 5), 1)
-        assert got == ssd_oracle(a, b, (4, 3), (2, 5), 1)
+        centres = [((4, 3), (2, 3)), ((6, 5), (2, 5)), ((5, 4), (4, 4))]
+        got = window_fitness(grey(a), grey(b), centres, 1)
+        for k, (pl, pr) in enumerate(centres):
+            assert got[k] == pytest.approx(fitness_oracle(a, b, pl, pr, 1), rel=1e-12)
 
     def test_matches_oracle_colour(self):
         rng = np.random.default_rng(8)
-        a = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
-        b = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
-        got = neighborhood_ssd(Image.from_array(a), Image.from_array(b), (2, 2), (3, 3), 1)
-        assert got == ssd_oracle(a, b, (2, 2), (3, 3), 1)
+        a = rng.integers(0, 256, size=(6, 8, 3), dtype=np.uint8)
+        b = rng.integers(0, 256, size=(6, 8, 3), dtype=np.uint8)
+        centres = [((3, 2), (2, 2)), ((4, 3), (1, 3))]
+        got = window_fitness(Image.from_array(a), Image.from_array(b), centres, 1)
+        for k, (pl, pr) in enumerate(centres):
+            assert got[k] == pytest.approx(fitness_oracle(a, b, pl, pr, 1), rel=1e-12)
 
     def test_symmetric_under_swap(self):
+        # swapping the views and mirroring both keeps every window pair,
+        # so the fitness is bit-identical
         rng = np.random.default_rng(9)
-        a = grey(rng.integers(0, 256, size=(8, 8), dtype=np.uint8))
-        b = grey(rng.integers(0, 256, size=(8, 8), dtype=np.uint8))
-        assert neighborhood_ssd(a, b, (3, 4), (5, 2), 2) == neighborhood_ssd(b, a, (5, 2), (3, 4), 2)
+        a = rng.integers(0, 256, size=(8, 10), dtype=np.uint8)
+        b = rng.integers(0, 256, size=(8, 10), dtype=np.uint8)
+        centres = [((5, 4), (3, 4)), ((6, 3), (4, 3))]
+        mirrored = [((9 - xr, y), (9 - xl, y)) for (xl, y), (xr, _) in centres]
+        got = window_fitness(grey(a), grey(b), centres, 2)
+        swapped = window_fitness(grey(b[:, ::-1]), grey(a[:, ::-1]), mirrored, 2)
+        assert np.all(got > 0)
+        assert np.array_equal(got, swapped)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(10)
-        a = rng.integers(0, 200, size=(8, 8), dtype=np.uint8)
-        b = rng.integers(0, 200, size=(8, 8), dtype=np.uint8)
-        base = neighborhood_ssd(grey(a), grey(b), (4, 4), (3, 3), 2)
-        shifted = neighborhood_ssd(grey(a + 55), grey(b + 55), (4, 4), (3, 3), 2)
-        assert base == shifted
+        a = rng.integers(0, 200, size=(8, 10), dtype=np.uint8)
+        b = rng.integers(0, 200, size=(8, 10), dtype=np.uint8)
+        centres = [((4, 4), (3, 4)), ((6, 3), (3, 3))]
+        base = window_fitness(grey(a), grey(b), centres, 2)
+        shifted = window_fitness(grey(a + 55), grey(b + 55), centres, 2)
+        assert np.all(base > 0)
+        assert np.array_equal(base, shifted)
 
     def test_out_of_bounds_rejected(self):
-        img = grey(np.zeros((5, 5)))
-        with pytest.raises(ValueError):
-            neighborhood_ssd(img, img, (0, 0), (2, 2), 1)
-        with pytest.raises(ValueError):
-            neighborhood_ssd(img, img, (2, 2), (4, 4), 1)
+        # a window that would leave either image is never read: the fly
+        # scores 0, while a fly whose windows fit scores above 0
+        rng = np.random.default_rng(12)
+        img = grey(rng.integers(0, 256, size=(5, 5), dtype=np.uint8))
+        centres = [((1, 2), (0, 2)), ((4, 2), (2, 2)), ((3, 0), (2, 0)), ((3, 2), (1, 2))]
+        got = window_fitness(img, img, centres, 1)
+        assert got[:3].tolist() == [0.0, 0.0, 0.0]
+        assert got[3] > 0
 
     def test_channel_mismatch_rejected(self):
         a = grey(np.zeros((5, 5)))
         b = Image.from_array(np.zeros((5, 5, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            neighborhood_ssd(a, b, (2, 2), (2, 2), 1)
+            StereoFrame(a, b)
 
     @given(
-        arr=arrays(np.uint8, st.tuples(st.integers(3, 8), st.integers(3, 8)), elements=st.integers(0, 255)),
+        arr=arrays(np.uint8, st.tuples(st.integers(3, 8), st.integers(4, 9)), elements=st.integers(0, 255)),
         n=st.integers(0, 1),
     )
     def test_self_ssd_zero_everywhere(self, arr, n):
-        img = grey(arr)
-        h, w = arr.shape
-        if w <= 2 * n or h <= 2 * n:
+        # right view = left shifted by one column: every window pair at
+        # disparity 1 matches, down to the extreme centres
+        left, right = grey(arr[:, :-1]), grey(arr[:, 1:])
+        h, w = left.height, left.width
+        if w < 3 or w - 1 - n < n + 1 or h - 1 - n < n:
             return
-        for x in (n, w - 1 - n):
-            for y in (n, h - 1 - n):
-                assert neighborhood_ssd(img, img, (x, y), (x, y), n) == 0.0
+        centres = [((x, y), (x - 1, y)) for x in (n + 1, w - 1 - n) for y in (n, h - 1 - n)]
+        got = window_fitness(left, right, centres, n)
+        gl, gr = sobel_norm_map(left).norms, sobel_norm_map(right).norms
+        for k, ((xl, y), (xr, _)) in enumerate(centres):
+            assert got[k] == gl[y, xl] * gr[y, xr] / 1.0

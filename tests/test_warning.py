@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flyswarm.evolution import Fly, Population
+from flyswarm.evolution import Population
 from flyswarm.warning import (
     WarningParams,
+    flag_useless,
     global_warning,
-    is_useless,
     top_k,
-    warning_value,
     warning_values,
 )
 
@@ -26,47 +25,44 @@ def make_pop(positions, raw=None, shared=None, penalized=None):
     return pop
 
 
+def flagged(rig, *positions) -> list[bool]:
+    pop = make_pop(positions)
+    flag_useless(pop, rig, WP)
+    return pop.penalized.tolist()
+
+
+def warning_of(x, z, raw, penalized=False) -> float:
+    return float(warning_values(np.array([[x, 0.0, z]]), np.array([raw]), np.array([penalized]), WP)[0])
+
+
 class TestUseless:
     def test_above_two_metres(self, default_rig):
         # camera 1.2 m up, fly 1.0 m above it: 2.2 m over the road
-        assert is_useless(Fly.at(0, 1.0, 5.0), default_rig, WP)
+        assert flagged(default_rig, (0, 1.0, 5.0)) == [True]
 
     def test_ground_detection(self, default_rig):
-        fly = Fly.at(0, 0.05 - default_rig.camera_height_m, 5.0)  # 5 cm height
-        assert is_useless(fly, default_rig, WP)
+        assert flagged(default_rig, (0, 0.05 - default_rig.camera_height_m, 5.0)) == [True]  # 5 cm height
 
     def test_interior_not_useless(self, default_rig):
-        fly = Fly.at(0, 1.0 - default_rig.camera_height_m, 10.0)  # 1 m height
-        assert not is_useless(fly, default_rig, WP)
+        assert flagged(default_rig, (0, 1.0 - default_rig.camera_height_m, 10.0)) == [False]  # 1 m height
 
     def test_beyond_range(self, default_rig):
-        fly = Fly.at(0, 1.0 - default_rig.camera_height_m, 16.5)
-        assert is_useless(fly, default_rig, WP)
-        fly = Fly.at(0, 1.0 - default_rig.camera_height_m, 15.5)
-        assert not is_useless(fly, default_rig, WP)
+        y = 1.0 - default_rig.camera_height_m
+        assert flagged(default_rig, (0, y, 16.5), (0, y, 15.5)) == [True, False]
 
 
 class TestWarningValue:
     def test_plain_formula(self):
-        fly = Fly.at(1.0, 0.0, 4.0)
-        fly.raw_fitness = 1.0
-        assert warning_value(fly, WP) == pytest.approx(0.25)
+        assert warning_of(1.0, 4.0, raw=1.0) == pytest.approx(0.25)
 
     def test_lateral_clamp(self):
-        fly = Fly.at(0.2, 0.0, 2.0)
-        fly.raw_fitness = 1.0
-        assert warning_value(fly, WP) == pytest.approx(2.0)
+        assert warning_of(0.2, 2.0, raw=1.0) == pytest.approx(2.0)
 
     def test_depth_clamp_and_abs(self):
-        fly = Fly.at(-0.6, 0.0, 0.5)
-        fly.raw_fitness = 3.0
-        assert warning_value(fly, WP) == pytest.approx(3.0 / 0.36, rel=1e-12)
+        assert warning_of(-0.6, 0.5, raw=3.0) == pytest.approx(3.0 / 0.36, rel=1e-12)
 
     def test_penalized_is_zero(self):
-        fly = Fly.at(1.0, 0.0, 4.0)
-        fly.raw_fitness = 10.0
-        fly.penalized = True
-        assert warning_value(fly, WP) == 0.0
+        assert warning_of(1.0, 4.0, raw=10.0, penalized=True) == 0.0
 
     def test_monotone_in_lateral_distance(self):
         # constant on the clamp plateau, non-increasing beyond it
@@ -92,11 +88,7 @@ class TestWarningValue:
         z=st.floats(0.1, 20.0),
     )
     def test_linear_in_fitness(self, f, x, z):
-        a = Fly.at(x, 0.0, z)
-        a.raw_fitness = f
-        b = Fly.at(x, 0.0, z)
-        b.raw_fitness = 2.0 * f
-        assert warning_value(b, WP) == pytest.approx(2.0 * warning_value(a, WP), rel=1e-12)
+        assert warning_of(x, z, raw=2.0 * f) == pytest.approx(2.0 * warning_of(x, z, raw=f), rel=1e-12)
 
 
 class TestGlobalWarning:
