@@ -213,7 +213,7 @@ def _run_loop(rc: RunConfig, frames: list[tuple[Image, Image]], budget: int):
     frame = None
     current = None
     for left, right in frames:
-        # rebuild the cached gradient maps only when the frame changes
+        # keep the frame, and the gradients its memo holds, while the pixels repeat
         if frame is None or not (
             np.array_equal(left.samples, current[0].samples)
             and np.array_equal(right.samples, current[1].samples)

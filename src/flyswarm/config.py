@@ -19,6 +19,7 @@ numbers. Example:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import fields
 
@@ -68,6 +69,8 @@ def _numbers(value: str) -> list[float]:
         numbers = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"expected numbers, got {value!r}") from None
+    if not numbers:
+        raise ConfigError(f"expected numbers, got {value!r}")
     # validators compare against bounds, and every comparison with NaN is false
     if not all(math.isfinite(v) for v in numbers):
         raise ConfigError(f"expected finite numbers, got {value!r}")
@@ -88,14 +91,15 @@ def get_float(cfg: dict, key: str, default: float) -> float:
     return default if raw is None else float(_numbers(raw)[0])
 
 
-def get_int(cfg: dict, key: str, default: int) -> int:
-    raw = _single(cfg, key)
-    if raw is None:
-        return default
-    value = _numbers(raw)[0]
+def _integer(value: float, key: str) -> int:
     if value != int(value):
-        raise ConfigError(f"key {key!r} expects an integer, got {raw!r}")
+        raise ConfigError(f"key {key!r} expects integers, got {value!r}")
     return int(value)
+
+
+def get_int(cfg: dict, key: str, default: int | None) -> int | None:
+    raw = _single(cfg, key)
+    return default if raw is None else _integer(_numbers(raw)[0], key)
 
 
 def get_floats(cfg: dict, key: str, default, count: int):
@@ -108,13 +112,30 @@ def get_floats(cfg: dict, key: str, default, count: int):
     return tuple(values)
 
 
+def _config_errors(build):
+    """Re-raise a value the model classes reject as a ConfigError, so a
+    builder fails the same way for a malformed and an out-of-range value."""
+
+    @functools.wraps(build)
+    def checked(cfg: dict):
+        try:
+            return build(cfg)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    return checked
+
+
+@_config_errors
 def rig_from_config(cfg: dict) -> StereoRig:
-    width, height = get_floats(cfg, "image_size", DEFAULT_IMAGE_SIZE, 2)
+    width, height = (_integer(v, "image_size") for v in get_floats(cfg, "image_size", DEFAULT_IMAGE_SIZE, 2))
     intrinsics = CameraIntrinsics(
         focal_length_px=get_float(cfg, "focal_length_px", DEFAULT_FOCAL_LENGTH_PX),
         principal_point=get_floats(cfg, "principal_point", DEFAULT_PRINCIPAL_POINT, 2),
-        image_width=int(width),
-        image_height=int(height),
+        image_width=width,
+        image_height=height,
     )
     return StereoRig(
         intrinsics=intrinsics,
@@ -125,6 +146,7 @@ def rig_from_config(cfg: dict) -> StereoRig:
     )
 
 
+@_config_errors
 def evolution_params_from_config(cfg: dict) -> EvolutionParams:
     defaults = EvolutionParams()
     sigma = get_floats(cfg, "mutation_sigma", None, 3)
@@ -143,6 +165,7 @@ def evolution_params_from_config(cfg: dict) -> EvolutionParams:
     )
 
 
+@_config_errors
 def warning_params_from_config(cfg: dict) -> WarningParams:
     defaults = WarningParams()
     return WarningParams(
@@ -154,6 +177,7 @@ def warning_params_from_config(cfg: dict) -> WarningParams:
     )
 
 
+@_config_errors
 def scene_from_config(cfg: dict) -> Scene | None:
     """Scene description, or None when the config carries no scene keys."""
     scene_keys = ("obstacle", "ground_texture_seed", "background_grey", "ground_texture_cell_m")
@@ -170,16 +194,15 @@ def scene_from_config(cfg: dict) -> Scene | None:
             center=(values[0], values[1], values[2]),
             width_m=values[3],
             height_m=values[4],
-            texture_seed=int(values[5]),
+            texture_seed=_integer(values[5], "obstacle"),
         )
         if len(values) == 7:
             rect_args["texture_cell_m"] = values[6]
         obstacles.append(TexturedRect(**rect_args))
-    ground_seed_raw = _single(cfg, "ground_texture_seed")
     scene_defaults = {f.name: f.default for f in fields(Scene)}
     return Scene(
         obstacles=tuple(obstacles),
-        ground_texture_seed=None if ground_seed_raw is None else int(_numbers(ground_seed_raw)[0]),
+        ground_texture_seed=get_int(cfg, "ground_texture_seed", None),
         background_grey=get_int(cfg, "background_grey", scene_defaults["background_grey"]),
         ground_texture_cell_m=get_float(cfg, "ground_texture_cell_m", scene_defaults["ground_texture_cell_m"]),
     )

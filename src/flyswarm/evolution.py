@@ -22,6 +22,14 @@ surface project onto matching, gradient-rich windows and score high;
 flies in front of or behind a surface compare unrelated windows; flies
 over uniform regions are killed by the gradient product.
 
+The swarm only ever looks at the pixels its flies project onto, and so
+does the code: a ``StereoFrame`` holds the two uint8 images and, per
+view, a Sobel-norm memo that computes a pixel's gradient from a 3x3
+gather the first time a fly reads it. The SSD windows are gathered as
+uint8 and summed in integers. Both give the same bits as the full-frame
+``imaging.sobel_norm_map`` and a float64 SSD, so a new frame costs no
+full-frame work.
+
 The population is stored as structure-of-arrays and every operator
 works on whole arrays, so a full generation at population 5000 stays
 well inside a real-time budget.
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import Image, sobel_norm_map
+from .imaging import LUMA_WEIGHTS, Image
 from .stereo_geometry import StereoRig, project_many, sample_points, search_volume, visible_many
 from .warning import WarningParams, WarningReport, flag_useless, global_warning
 
@@ -46,6 +54,12 @@ MUTATION_RESAMPLE_LIMIT = 8
 # fly stay inside the sub-pixel disparity band of a surface. Wider
 # defaults measurably slow the reaction to scene changes.
 DEFAULT_SIGMA_FRACTION = 0.001
+
+_LUMA = np.asarray(LUMA_WEIGHTS)
+
+# Flies per block of SSD windows: small integer temporaries are reused
+# from the heap instead of being faulted in afresh on every call.
+_BLOCK = 1024
 
 
 @dataclass
@@ -112,32 +126,74 @@ class Population:
         return self.positions.shape[0]
 
 
-class StereoFrame:
-    """One stereo pair with everything the fitness needs precomputed.
+class _SobelMemo:
+    """Sobel norms of one view's luminance, each computed the first time
+    a fly reads its pixel.
 
-    Gradient maps and flattened float planes are built once per frame so
-    the per-generation cost is pure arithmetic and gathers.
+    Every value equals ``sobel_norm_map(image).norms`` at the same pixel,
+    bit for bit: the same luminance (``LUMA_WEIGHTS`` applied with ``@``
+    to a C-contiguous 2-D float64 gather), the same Sobel sums and
+    ``np.hypot``; the 1 px border reads 0. ``norms`` starts uninitialised,
+    so only the pages that flies look at are ever touched.
+    """
+
+    def __init__(self, image: Image):
+        self.width, self.height, self.channels = image.width, image.height, image.channels
+        self.samples = image.samples.reshape(-1)  # flat uint8, pixel-major
+        n_px = image.width * image.height
+        self.norms = np.empty(n_px)
+        self.known = np.zeros(n_px, dtype=bool)
+        span = np.arange(-1, 2)
+        self._stencil = (span[:, None] * self.width + span[None, :]).reshape(9, 1)
+
+    def at(self, pixels: np.ndarray) -> np.ndarray:
+        """Norms at flat pixel indices, filling the missing ones first."""
+        missing = pixels[~self.known[pixels]]
+        if missing.size:
+            self.norms[missing] = self._sobel(missing)
+            self.known[missing] = True
+        return self.norms[pixels]
+
+    def _sobel(self, pixels: np.ndarray) -> np.ndarray:
+        w, h = self.width, self.height
+        row, col = np.divmod(pixels, w)
+        inner = (row >= 1) & (row <= h - 2) & (col >= 1) & (col <= w - 2)
+        around = self._stencil + (np.clip(row, 1, h - 2) * w + np.clip(col, 1, w - 2))
+        if self.channels == 1:
+            p = self.samples[around].astype(np.float64)
+        else:
+            rgb = self.samples.reshape(-1, self.channels)[around.ravel()]
+            p = (rgb.astype(np.float64) @ _LUMA).reshape(around.shape)
+        gx = (p[2] + 2.0 * p[5] + p[8]) - (p[0] + 2.0 * p[3] + p[6])
+        gy = (p[6] + 2.0 * p[7] + p[8]) - (p[0] + 2.0 * p[1] + p[2])
+        return np.where(inner, np.hypot(gx, gy), 0.0)
+
+
+class StereoFrame:
+    """One stereo pair: the two uint8 images and a Sobel-norm memo per view.
+
+    Nothing is computed over the whole frame. ``evaluate_population``
+    reads the gradient at each fly's rounded projections from the memos,
+    which compute the missing ones from a 3x3 gather, and gathers the SSD
+    windows as uint8.
     """
 
     def __init__(self, left: Image, right: Image):
         if (left.width, left.height, left.channels) != (right.width, right.height, right.channels):
             raise ValueError("left/right images must share dimensions and channel count")
+        if left.width < 3 or left.height < 3:
+            raise ValueError(f"images must be at least 3x3, got {left.width}x{left.height}")
         self.left = left
         self.right = right
-        self.grad_left = sobel_norm_map(left)
-        self.grad_right = sobel_norm_map(right)
-        n_px = left.width * left.height
-        self._left_flat = left.planes().reshape(n_px, left.channels)
-        self._right_flat = right.planes().reshape(n_px, right.channels)
-        self._grad_left_flat = self.grad_left.norms.reshape(n_px)
-        self._grad_right_flat = self.grad_right.norms.reshape(n_px)
+        self._left = _SobelMemo(left)
+        self._right = _SobelMemo(right)
 
 
 def evaluate_population(population: Population, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> None:
     """Raw fitness for every fly; 0 for flies whose windows leave either image."""
     positions = population.positions
     n = params.neighborhood_radius
-    w, h = frame.left.width, frame.left.height
+    w, h, c = frame.left.width, frame.left.height, frame.left.channels
     if w < 2 * n + 1 or h < 2 * n + 1:
         population.raw_fitness[:] = 0.0
         return
@@ -152,15 +208,19 @@ def evaluate_population(population: Population, frame: StereoFrame, rig: StereoR
 
     centre_l = iv * w + iu_l
     centre_r = iv * w + iu_r
+    numerator = frame._left.at(centre_l) * frame._right.at(centre_r)
+
+    # SSD over uint8 windows in integers, which is exact; int32 holds the
+    # sum unless the window is huge
     span = np.arange(-n, n + 1, dtype=np.int64)
-    window = (span[:, None] * w + span[None, :]).ravel()
-
-    win_l = frame._left_flat[centre_l[:, None] + window[None, :]]
-    win_r = frame._right_flat[centre_r[:, None] + window[None, :]]
-    diff = win_l - win_r
-    ssd = np.einsum("nkc,nkc->n", diff, diff)
-
-    numerator = frame._grad_left_flat[centre_l] * frame._grad_right_flat[centre_r]
+    window = ((span[:, None] * w + span[None, :]).reshape(-1, 1) * c + np.arange(c)).ravel()
+    acc = np.int32 if window.size * 255**2 < 2**31 else np.int64
+    left, right = frame._left.samples, frame._right.samples
+    ssd = np.empty(len(positions), dtype=np.int64)
+    for start in range(0, len(positions), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        diff = np.subtract(left[centre_l[block, None] * c + window], right[centre_r[block, None] * c + window], dtype=acc)
+        ssd[block] = np.einsum("nk,nk->n", diff, diff)
     population.raw_fitness[:] = np.where(vis, numerator / (params.fitness_epsilon + ssd), 0.0)
 
 

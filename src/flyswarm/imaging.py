@@ -1,8 +1,12 @@
-"""Intensity rasters, binary PNM I/O and Sobel norm maps.
+"""Intensity rasters, binary PNM I/O and the full-frame Sobel norm map.
 
 Images are stored as uint8 numpy arrays, (H, W) for grey and (H, W, 3)
 for colour, and are treated as immutable once constructed. Pixel
 coordinates follow the (column, row) convention of stereo_geometry.
+
+``sobel_norm_map`` is the reference for the gradients the fitness reads:
+``evolution.StereoFrame`` computes them only at the pixels flies project
+onto, and the tests check the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -56,11 +60,6 @@ class Image:
             return self.samples.astype(np.float64)
         w = np.asarray(LUMA_WEIGHTS)
         return self.samples.astype(np.float64) @ w
-
-    def planes(self) -> np.ndarray:
-        """Samples as float64 with an explicit channel axis, (H, W, C)."""
-        s = self.samples.astype(np.float64)
-        return s[:, :, None] if self.channels == 1 else s
 
 
 @dataclass(eq=False)
@@ -142,8 +141,9 @@ def write_pnm(path, image: Image) -> None:
 def sobel_norm_map(image: Image) -> GradientMap:
     """Euclidean Sobel gradient norm of the luminance plane.
 
-    Border pixels are set to 0; every path that reads the map keeps the
-    fitness window (and hence the centre pixel) away from the border.
+    Border pixels are set to 0. The fitness path does not call this; it
+    is the reference that ``evolution.StereoFrame``'s per-pixel gradients
+    are tested against.
     """
     if image.width < 3 or image.height < 3:
         raise ValueError(f"image must be at least 3x3, got {image.width}x{image.height}")

@@ -21,7 +21,7 @@ from flyswarm.evolution import (
     select,
     step_generation,
 )
-from flyswarm.imaging import Image
+from flyswarm.imaging import Image, sobel_norm_map
 from flyswarm.stereo_geometry import project_many, sample_points, visible_many
 from flyswarm.synth import ground_truth_depth, preset_scene, render_stereo_pair
 from flyswarm.warning import WarningParams, warning_values
@@ -211,9 +211,11 @@ def test_a5_fitness_oracle(session_rig, pedestrian_pair):
     pts = sample_points(session_rig, rng, 1000, margin=params.neighborhood_radius)
     pop = Population(pts)
     evaluate_population(pop, frame, session_rig, params)
+    # the oracle reads the full-frame reference maps, not the frame's memo
+    grad_left, grad_right = sobel_norm_map(left), sobel_norm_map(right)
     worst = 0.0
     for i in range(1000):
-        oracle = naive_fitness(pts[i], left, right, frame.grad_left, frame.grad_right, session_rig, params)
+        oracle = naive_fitness(pts[i], left, right, grad_left, grad_right, session_rig, params)
         if oracle == 0.0:
             assert pop.raw_fitness[i] == 0.0
             continue

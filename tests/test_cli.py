@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flyswarm.cli import main
 from flyswarm.config import (
@@ -63,6 +64,64 @@ class TestConfig:
         cfg = parse_config_text("obstacle = 1, 2\n")
         with pytest.raises(ConfigError):
             scene_from_config(cfg)
+
+
+    @pytest.mark.parametrize(
+        "text, build",
+        [
+            ("image_size = 640.9, 480.5\n", rig_from_config),
+            ("image_size = 640, 480.5\n", rig_from_config),
+            ("obstacle = 0, -0.35, 4, 0.5, 1.7, 202.9\n", scene_from_config),
+            ("ground_texture_seed = 101.5\n", scene_from_config),
+        ],
+    )
+    def test_fractional_integer_rejected(self, text, build):
+        # these used to be truncated without an error (640x480, seed 202)
+        with pytest.raises(ConfigError, match="integers"):
+            build(parse_config_text(text))
+
+    def test_model_rejection_is_config_error(self):
+        with pytest.raises(ConfigError, match="population_size"):
+            evolution_params_from_config(parse_config_text("population_size = 1\n"))
+        with pytest.raises(ConfigError, match="baseline_m"):
+            rig_from_config(parse_config_text("baseline_m = 0\n"))
+
+    def test_value_without_numbers_rejected(self):
+        # "," splits into no numbers at all; this used to end in an IndexError
+        with pytest.raises(ConfigError, match="expected numbers"):
+            evolution_params_from_config(parse_config_text("population_size = ,\n"))
+
+
+CONFIG_KEYS = (
+    "focal_length_px principal_point image_size baseline_m camera_height_m z_min_m z_max_m "
+    "population_size selection_ratio mutation_fraction crossover_fraction immigration_fraction "
+    "mutation_sigma neighborhood_radius sharing_cell_px sharing_exponent fitness_epsilon rng_seed "
+    "max_height_m min_height_m max_range_m x_clamp_m z_clamp_m "
+    "obstacle ground_texture_seed background_grey ground_texture_cell_m unknown_key"
+).split()
+_number = st.one_of(
+    st.integers(-5, 1000).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "0.5", "640.9", "1_0", "0x10", "", ","]),
+)
+_config_line = st.tuples(
+    st.sampled_from(CONFIG_KEYS),
+    st.one_of(st.lists(_number, max_size=8).map(", ".join), st.text(max_size=10)),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+CONFIG_TEXT = st.one_of(st.text(max_size=60), st.lists(_config_line, max_size=6).map("\n".join))
+
+
+@given(text=CONFIG_TEXT)
+def test_config_fuzz_yields_value_or_config_error(text):
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    for build in (rig_from_config, evolution_params_from_config, warning_params_from_config, scene_from_config):
+        try:
+            build(cfg)
+        except ConfigError:
+            pass
 
 
 class TestSynthCommand:

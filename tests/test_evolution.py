@@ -20,6 +20,7 @@ from flyswarm.imaging import Image, sobel_norm_map
 from flyswarm.stereo_geometry import project, sample_points, search_volume
 from flyswarm.synth import Scene, TexturedRect, render_stereo_pair
 from flyswarm.warning import WarningParams
+from test_imaging import window_fitness
 
 
 def naive_fitness(position, left, right, grad_left, grad_right, rig, params):
@@ -54,6 +55,14 @@ def fitness_of(positions, frame, rig, params) -> np.ndarray:
     pop = Population(np.atleast_2d(np.asarray(positions, dtype=np.float64)))
     evaluate_population(pop, frame, rig, params)
     return pop.raw_fitness
+
+
+def colour_pair(pair):
+    # one channel mix applied to both views keeps the pair photo-consistent
+    return tuple(
+        Image.from_array(np.stack([s, 255 - s, (s.astype(np.uint16) * 3 % 256).astype(np.uint8)], axis=2))
+        for s in (pair[0].samples, pair[1].samples)
+    )
 
 
 class TestFitness:
@@ -95,22 +104,15 @@ class TestFitness:
         assert textured.sum() >= 20
 
     def test_batch_matches_scalar_and_naive(self, session_rig, default_params, pedestrian_pair):
-        # naive_fitness is the scalar, one-fly-at-a-time oracle; the colour
-        # pair applies one channel mix to both views, so it stays photo-consistent
-        colour_pair = tuple(
-            Image.from_array(np.stack([s, 255 - s, (s.astype(np.uint16) * 3 % 256).astype(np.uint8)], axis=2))
-            for s in (pedestrian_pair[0].samples, pedestrian_pair[1].samples)
-        )
+        # naive_fitness is the scalar, one-fly-at-a-time oracle
         rng = np.random.default_rng(2)
         pts = sample_points(session_rig, rng, 300, margin=default_params.neighborhood_radius)
-        for left, right in (pedestrian_pair, colour_pair):
-            frame = StereoFrame(left, right)
-            got = fitness_of(pts, frame, session_rig, default_params)
+        for left, right in (pedestrian_pair, colour_pair(pedestrian_pair)):
+            got = fitness_of(pts, StereoFrame(left, right), session_rig, default_params)
             assert np.count_nonzero(got) >= 100
+            grad_left, grad_right = sobel_norm_map(left), sobel_norm_map(right)
             for i in range(len(pts)):
-                oracle = naive_fitness(
-                    pts[i], left, right, frame.grad_left, frame.grad_right, session_rig, default_params
-                )
+                oracle = naive_fitness(pts[i], left, right, grad_left, grad_right, session_rig, default_params)
                 assert got[i] == pytest.approx(oracle, rel=1e-9)
 
     def test_intensity_shift_leaves_fitness(self, session_rig, default_params, pedestrian_pair):
@@ -123,6 +125,80 @@ class TestFitness:
         base = pop.raw_fitness.copy()
         evaluate_population(pop, StereoFrame(shifted_l, shifted_r), session_rig, default_params)
         np.testing.assert_allclose(pop.raw_fitness, base, rtol=1e-12)
+
+
+class TestGradientMemo:
+    """The frame's lazily filled gradients against the full-frame
+    reference ``sobel_norm_map``, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(3, 12),
+        width=st.integers(3, 12),
+        channels=st.sampled_from([1, 3]),
+        batches=st.integers(1, 4),
+    )
+    def test_memo_equals_reference_map(self, seed, height, width, channels, batches):
+        rng = np.random.default_rng(seed)
+        shape = (height, width) if channels == 1 else (height, width, 3)
+        left, right = (Image.from_array(rng.integers(0, 256, shape, dtype=np.uint8)) for _ in range(2))
+        frame = StereoFrame(left, right)
+        for memo, image in ((frame._left, left), (frame._right, right)):
+            reference = sobel_norm_map(image).norms.ravel()
+            # several batches, with repeats, so later reads mix memoised and new pixels
+            for _ in range(batches):
+                pixels = rng.integers(0, height * width, size=int(rng.integers(1, 2 * height * width)))
+                assert memo.at(pixels).tobytes() == reference[pixels].tobytes()
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_fitness_bit_identical_to_reference(self, session_rig, pedestrian_pair, radius):
+        rng = np.random.default_rng(radius)
+        noise = tuple(Image.from_array(rng.integers(0, 256, (480, 640, 3), dtype=np.uint8)) for _ in range(2))
+        params = EvolutionParams(neighborhood_radius=radius)
+        pts = sample_points(session_rig, rng, 150, margin=0)
+        for left, right in (pedestrian_pair, colour_pair(pedestrian_pair), noise):
+            got = fitness_of(pts, StereoFrame(left, right), session_rig, params)
+            gl, gr = sobel_norm_map(left), sobel_norm_map(right)
+            expected = [naive_fitness(p, left, right, gl, gr, session_rig, params) for p in pts]
+            assert np.count_nonzero(got) >= 50
+            assert got.tolist() == expected
+
+    def test_border_centre_scores_zero_at_radius_zero(self):
+        # a fly whose rounded centre lies on the 1 px border is visible at
+        # radius 0, but the reference map is 0 there
+        rng = np.random.default_rng(13)
+        a = Image.from_array(rng.integers(0, 256, (6, 8), dtype=np.uint8))
+        centres = [((7, 3), (2, 3)), ((4, 0), (1, 0)), ((5, 5), (3, 5)), ((3, 2), (0, 2)), ((5, 3), (2, 3))]
+        got = window_fitness(a, a, centres, 0)
+        assert got[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert got[4] > 0
+
+    def test_repeated_evaluation_identical(self, session_rig, default_params, pedestrian_pair):
+        pts = sample_points(session_rig, np.random.default_rng(14), 2000)
+        frame = StereoFrame(*pedestrian_pair)
+        first = fitness_of(pts, frame, session_rig, default_params).copy()
+        assert frame._left.known.any()
+        again = fitness_of(pts, frame, session_rig, default_params)
+        assert first.tobytes() == again.tobytes()
+
+    def test_fresh_frame_has_its_own_memo(self, session_rig, default_params, pedestrian_pair):
+        pts = sample_points(session_rig, np.random.default_rng(15), 2000)
+        old = StereoFrame(*pedestrian_pair)
+        fitness_of(pts, old, session_rig, default_params)
+        # same shape, other pixels: nothing computed for the old pair may be read
+        left, right = (Image.from_array(255 - s.samples) for s in pedestrian_pair)
+        fresh = StereoFrame(left, right)
+        assert not fresh._left.known.any() and not fresh._right.known.any()
+        got = fitness_of(pts, fresh, session_rig, default_params)
+        gl, gr = sobel_norm_map(left), sobel_norm_map(right)
+        expected = [naive_fitness(p, left, right, gl, gr, session_rig, default_params) for p in pts[:300]]
+        assert got[:300].tolist() == expected
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (1, 1)])
+    def test_images_under_3x3_rejected(self, shape):
+        img = Image.from_array(np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(ValueError, match="at least 3x3"):
+            StereoFrame(img, img)
 
 
 class TestSharing:

@@ -53,6 +53,38 @@ class TestPnm:
             load_pnm(b"P5\nzz 2\n255\n" + bytes(4))
 
     @given(
+        data=st.one_of(
+            st.binary(max_size=80),
+            st.builds(
+                lambda magic, fields, payload: magic + b"".join(sep + tok for sep, tok in fields) + payload,
+                st.sampled_from([b"P5", b"P6", b"P4", b""]),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([b" ", b"\n", b"#c\n", b"\t", b""]),
+                        st.one_of(st.just(b"255"), st.integers(-2, 9).map(lambda v: str(v).encode()), st.binary(max_size=3)),
+                    ),
+                    max_size=4,
+                ),
+                st.binary(max_size=80),
+            ),
+            st.builds(
+                lambda magic, w, h, payload: magic + b" %d %d 255\n" % (w, h) + payload,
+                st.sampled_from([b"P5", b"P6"]),
+                st.integers(1, 5),
+                st.integers(1, 5),
+                st.binary(min_size=20, max_size=80),
+            ),
+        )
+    )
+    def test_fuzz_yields_image_or_parse_error(self, data):
+        try:
+            img = load_pnm(data)
+        except PnmParseError:
+            return
+        assert isinstance(img, Image)
+        assert img.samples.size == img.width * img.height * img.channels
+
+    @given(
         arr=arrays(
             np.uint8,
             st.tuples(st.integers(1, 12), st.integers(1, 12)),
