@@ -1,10 +1,11 @@
-"""Command-line pipeline: synth, detect, sequence, bench.
+"""Command-line pipeline: synth, detect, sequence.
 
 detect/sequence print one `generation,global_warning` CSV line per
 generation to stdout, then the final global warning on its own line.
-Every generation runs through ``evolution.step_generation``. All outputs
-are deterministic for a fixed seed. Rejected input (flag and config
-values, PNM bytes) ends in exit code 2 and a one-line message on stderr.
+Every generation runs through ``evolution.step_generation``; ``sequence``
+decodes each pair only when the loop reaches it. All outputs are
+deterministic for a fixed seed. Rejected input (flag and config values,
+PNM bytes) ends in exit code 2 and a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import glob
 import sys
-import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,12 +95,13 @@ def _resolve_scene(rc: RunConfig) -> Scene:
     raise ConfigError("no scene: pass --preset or a config file with scene keys")
 
 
-def _check_rig_match(image: Image, rig: StereoRig, name: str) -> None:
+def _check_rig_match(image: Image, rig: StereoRig, name: str) -> Image:
     if (image.width, image.height) != (rig.intrinsics.image_width, rig.intrinsics.image_height):
         raise ConfigError(
             f"{name} image is {image.width}x{image.height} but the rig expects "
             f"{rig.intrinsics.image_width}x{rig.intrinsics.image_height}"
         )
+    return image
 
 
 def _load_pair(rc: RunConfig) -> tuple[Image, Image]:
@@ -109,9 +111,13 @@ def _load_pair(rc: RunConfig) -> tuple[Image, Image]:
         raise ConfigError("--left and --right must be given together")
     else:
         left, right = render_stereo_pair(_resolve_scene(rc), rc.rig)
-    _check_rig_match(left, rc.rig, "left")
-    _check_rig_match(right, rc.rig, "right")
-    return left, right
+    return _check_rig_match(left, rc.rig, "left"), _check_rig_match(right, rc.rig, "right")
+
+
+def _read_pairs(rig: StereoRig, lefts: list[str], rights: list[str]) -> Iterator[tuple[Image, Image]]:
+    """Decode and rig-check each pair only when the run loop asks for it."""
+    for lp, rp in zip(lefts, rights):
+        yield _check_rig_match(read_pnm(lp), rig, lp), _check_rig_match(read_pnm(rp), rig, rp)
 
 
 def _expand_pattern(pattern: str) -> list[str]:
@@ -128,22 +134,16 @@ def _format_float(v: float) -> str:
 
 
 def write_flies_csv(path: Path, pop: Population, per_fly_warning: np.ndarray) -> None:
+    # tolist() yields Python floats, whose repr is the shortest round trip
+    rows = zip(
+        pop.positions.tolist(),
+        pop.raw_fitness.tolist(),
+        pop.shared_fitness.tolist(),
+        pop.penalized.tolist(),
+        per_fly_warning.tolist(),
+    )
     lines = ["x,y,z,raw_fitness,shared_fitness,penalized,warning"]
-    for i in range(len(pop)):
-        x, y, z = pop.positions[i]
-        lines.append(
-            ",".join(
-                (
-                    _format_float(x),
-                    _format_float(y),
-                    _format_float(z),
-                    _format_float(pop.raw_fitness[i]),
-                    _format_float(pop.shared_fitness[i]),
-                    str(int(pop.penalized[i])),
-                    _format_float(per_fly_warning[i]),
-                )
-            )
-        )
+    lines += [f"{x!r},{y!r},{z!r},{raw!r},{shared!r},{int(pen)},{w!r}" for (x, y, z), raw, shared, pen, w in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -186,40 +186,31 @@ def cmd_synth(rc: RunConfig) -> int:
     write_pnm(rc.out_dir / "right.pgm", right)
     lines = ["center_x,center_y,center_z,width_m,height_m,texture_seed,texture_cell_m"]
     for rect in scene.obstacles:
-        cx, cy, cz = rect.center
-        lines.append(
-            ",".join(
-                (
-                    _format_float(cx),
-                    _format_float(cy),
-                    _format_float(cz),
-                    _format_float(rect.width_m),
-                    _format_float(rect.height_m),
-                    str(rect.texture_seed),
-                    _format_float(rect.texture_cell_m),
-                )
-            )
-        )
+        cx, cy, cz, width, height, cell = map(float, (*rect.center, rect.width_m, rect.height_m, rect.texture_cell_m))
+        lines.append(f"{cx!r},{cy!r},{cz!r},{width!r},{height!r},{rect.texture_seed},{cell!r}")
     (rc.out_dir / "truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
-def _run_loop(rc: RunConfig, frames: list[tuple[Image, Image]], budget: int):
-    """Shared detect/sequence loop; returns (population, trace, final report)."""
+def _run_loop(rc: RunConfig, frames: Iterable[tuple[Image, Image]], budget: int):
+    """Shared detect/sequence loop; returns (population, trace, final report).
+
+    ``frames`` is consumed one pair at a time, so a lazy iterable keeps at
+    most the frame in use and the pair being decoded in memory.
+    """
     rng = np.random.default_rng(rc.evo.rng_seed)
     pop = Population.initialize(rc.rig, rc.evo, rng)
     trace: list[tuple[int, float]] = []
     generation = 0
     frame = None
-    current = None
     for left, right in frames:
         # keep the frame, and the gradients its memo holds, while the pixels repeat
         if frame is None or not (
-            np.array_equal(left.samples, current[0].samples)
-            and np.array_equal(right.samples, current[1].samples)
+            np.array_equal(left.samples, frame.left.samples)
+            and np.array_equal(right.samples, frame.right.samples)
         ):
             frame = StereoFrame(left, right)
-            current = (left, right)
+        del left, right  # the frame holds what it needs; free the pair before the next decode
         for _ in range(budget):
             report = evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn)
             generation += 1
@@ -251,45 +242,13 @@ def cmd_sequence(rc: RunConfig) -> int:
     rights = _expand_pattern(rc.right)
     if len(lefts) != len(rights):
         raise ConfigError(f"mismatched pair counts: {len(lefts)} left vs {len(rights)} right")
-    frames = []
-    for lp, rp in zip(lefts, rights):
-        left, right = read_pnm(lp), read_pnm(rp)
-        _check_rig_match(left, rc.rig, lp)
-        _check_rig_match(right, rc.rig, rp)
-        frames.append((left, right))
     rc.out_dir.mkdir(parents=True, exist_ok=True)
-    pop, trace, final = _run_loop(rc, frames, rc.generations)
+    pop, trace, final = _run_loop(rc, _read_pairs(rc.rig, lefts, rights), rc.generations)
     write_trace_csv(rc.out_dir / "warning_trace.csv", trace)
     if rc.emit_flies:
         write_flies_csv(rc.out_dir / "flies.csv", pop, final.per_fly)
     print(_format_float(final.global_mean))
     return 0
-
-
-def cmd_bench(rc: RunConfig) -> dict:
-    left, right = _load_pair(rc)
-    frame = StereoFrame(left, right)
-    rng = np.random.default_rng(rc.evo.rng_seed)
-    pop = Population.initialize(rc.rig, rc.evo, rng)
-    for _ in range(2):  # warmup
-        evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn)
-    durations = []
-    for _ in range(rc.generations):
-        t0 = time.perf_counter()
-        evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn)
-        durations.append((time.perf_counter() - t0) * 1e3)
-    d = np.asarray(durations)
-    report = {
-        "population": len(pop),
-        "generations": rc.generations,
-        "mean_ms": float(d.mean()),
-        "p50_ms": float(np.percentile(d, 50)),
-        "p90_ms": float(np.percentile(d, 90)),
-        "max_ms": float(d.max()),
-    }
-    for key, value in report.items():
-        print(f"{key},{value}")
-    return report
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -327,15 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--population", type=int, metavar="N")
     sp.set_defaults(func=cmd_sequence, default_generations=1)
 
-    sp = sub.add_parser("bench", help="time generations on a 640x480 pair")
-    _add_common(sp)
-    sp.add_argument("--left", metavar="PATH")
-    sp.add_argument("--right", metavar="PATH")
-    sp.add_argument("--preset", choices=PRESET_NAMES, default="pedestrian-4m")
-    sp.add_argument("--generations", type=int, metavar="N")
-    sp.add_argument("--population", type=int, metavar="N")
-    sp.set_defaults(func=cmd_bench, default_generations=50)
-
     return parser
 
 
@@ -343,11 +293,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = _build_run_config(args, args.default_generations)
-        result = args.func(rc)
+        return args.func(rc)
     except (ValueError, OSError) as exc:  # ValueError covers ConfigError and PnmParseError
         print(f"flyswarm: error: {exc}", file=sys.stderr)
         return 2
-    return result if isinstance(result, int) else 0
 
 
 if __name__ == "__main__":

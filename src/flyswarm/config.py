@@ -87,8 +87,8 @@ def _single(cfg: dict, key: str) -> str | None:
 
 
 def get_float(cfg: dict, key: str, default: float) -> float:
-    raw = _single(cfg, key)
-    return default if raw is None else float(_numbers(raw)[0])
+    values = get_floats(cfg, key, None, 1)
+    return default if values is None else values[0]
 
 
 def _integer(value: float, key: str) -> int:
@@ -98,8 +98,8 @@ def _integer(value: float, key: str) -> int:
 
 
 def get_int(cfg: dict, key: str, default: int | None) -> int | None:
-    raw = _single(cfg, key)
-    return default if raw is None else _integer(_numbers(raw)[0], key)
+    values = get_floats(cfg, key, None, 1)
+    return default if values is None else _integer(values[0], key)
 
 
 def get_floats(cfg: dict, key: str, default, count: int):
@@ -108,7 +108,7 @@ def get_floats(cfg: dict, key: str, default, count: int):
         return default
     values = _numbers(raw)
     if len(values) != count:
-        raise ConfigError(f"key {key!r} expects {count} values, got {len(values)}")
+        raise ConfigError(f"key {key!r} expects {count} number(s), got {len(values)}")
     return tuple(values)
 
 

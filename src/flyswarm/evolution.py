@@ -229,18 +229,21 @@ def apply_sharing(population: Population, rig: StereoRig, params: EvolutionParam
 
     Crowding is measured on a ``sharing_cell_px`` grid over the rounded
     left projections; penalized flies are then forced to 0 so selection
-    eliminates them.
+    eliminates them. Projections are first clipped to one cell beyond the
+    image, so flies far off the image share a ring of cells that no fly
+    inside the image uses. That leaves every shared fitness as it is on
+    the unbounded grid provided flies off the image have raw fitness 0,
+    which ``evaluate_population`` guarantees.
     """
     u_left, _, v = project_many(rig, population.positions)
-    cell = params.sharing_cell_px
-    bound = float(1 << 40)  # keeps the int cast defined for wild projections
-    cx = np.rint(np.clip(u_left, -bound, bound)).astype(np.int64) // cell
-    cy = np.rint(np.clip(v, -bound, bound)).astype(np.int64) // cell
-    cx = np.clip(cx, -(1 << 30), 1 << 30)
-    cy = np.clip(cy, -(1 << 30), 1 << 30)
-    key = (cx + (1 << 30)) * (1 << 31) + (cy + (1 << 30))
-    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    occupancy = counts[inverse].astype(np.float64)
+    w, h = rig.intrinsics.image_width, rig.intrinsics.image_height
+    # a cell this wide already holds the whole image, and a wider one
+    # would overflow the int64 division
+    cell = min(params.sharing_cell_px, max(w, h))
+    cx = np.rint(np.clip(u_left, -cell, w - 1 + cell)).astype(np.int64) // cell + 1
+    cy = np.rint(np.clip(v, -cell, h - 1 + cell)).astype(np.int64) // cell + 1
+    key = cy * ((w - 1 + cell) // cell + 2) + cx
+    occupancy = np.bincount(key)[key].astype(np.float64)
     if params.sharing_exponent != 1.0:
         occupancy = occupancy**params.sharing_exponent
     population.shared_fitness[:] = population.raw_fitness / occupancy

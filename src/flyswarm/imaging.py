@@ -1,7 +1,8 @@
 """Intensity rasters, binary PNM I/O and the full-frame Sobel norm map.
 
-Images are stored as uint8 numpy arrays, (H, W) for grey and (H, W, 3)
-for colour, and are treated as immutable once constructed. Pixel
+Images are stored as C-contiguous uint8 numpy arrays, (H, W) for grey
+and (H, W, 3) for colour, and are treated as immutable once constructed;
+a decoded image enforces it, as a read-only view over the file's bytes. Pixel
 coordinates follow the (column, row) convention of stereo_geometry.
 
 ``sobel_norm_map`` is the reference for the gradients the fitness reads:
@@ -39,6 +40,10 @@ class Image:
             raise ValueError(f"samples must be uint8, got {self.samples.dtype}")
         if self.samples.shape != expected:
             raise ValueError(f"samples shape {self.samples.shape} does not match {expected}")
+        # strided samples take numpy's non-BLAS matmul in luminance(), whose
+        # last bit differs from the C-order result the fitness path computes
+        if not self.samples.flags.c_contiguous:
+            raise ValueError("samples must be C-contiguous; build the image with Image.from_array")
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Image":
@@ -90,7 +95,10 @@ def _next_token(data: bytes, pos: int):
 
 
 def load_pnm(data: bytes) -> Image:
-    """Decode binary PGM (P5) or PPM (P6) with maxval 255."""
+    """Decode binary PGM (P5) or PPM (P6) with maxval 255.
+
+    The samples are a read-only view over ``data``; nothing is copied.
+    """
     if data[:2] == b"P5":
         channels = 1
     elif data[:2] == b"P6":
@@ -119,7 +127,7 @@ def load_pnm(data: bytes) -> Image:
         raise PnmParseError(f"truncated pixel data at offset {pos}: need {need} bytes, have {have}")
     flat = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     shape = (height, width) if channels == 1 else (height, width, 3)
-    return Image(width, height, channels, flat.reshape(shape).copy())
+    return Image(width, height, channels, flat.reshape(shape))
 
 
 def save_pnm(image: Image) -> bytes:

@@ -1,7 +1,12 @@
+import io
+import sys
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from flyswarm import cli
 from flyswarm.cli import main
 from flyswarm.config import (
     ConfigError,
@@ -85,6 +90,15 @@ class TestConfig:
             evolution_params_from_config(parse_config_text("population_size = 1\n"))
         with pytest.raises(ConfigError, match="baseline_m"):
             rig_from_config(parse_config_text("baseline_m = 0\n"))
+
+    @pytest.mark.parametrize(
+        "text, build",
+        [("population_size = 50 60\n", evolution_params_from_config), ("baseline_m = 0.3, 9\n", rig_from_config)],
+    )
+    def test_extra_numbers_rejected(self, text, build):
+        # the first number used to be taken and the rest dropped (50, 0.3 m)
+        with pytest.raises(ConfigError, match="expects 1 number"):
+            build(parse_config_text(text))
 
     def test_value_without_numbers_rejected(self):
         # "," splits into no numbers at all; this used to end in an IndexError
@@ -397,49 +411,108 @@ class TestSequenceCommand:
         assert "mismatched pair counts" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_report_contents(self, tmp_path, capsys):
-        code = main(
-            ["bench", "--out", str(tmp_path / "b"), "--population", "500", "--generations", "5", "--seed", "1"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        report = dict(line.split(",", 1) for line in out.strip().splitlines())
-        assert report["population"] == "500"
-        assert report["generations"] == "5"
-        assert float(report["mean_ms"]) > 0
-        assert float(report["p50_ms"]) <= float(report["max_ms"])
+class TestStreamedSequence:
+    """``sequence`` decodes each pair only when the run loop reaches it."""
 
-    def test_default_population_is_5000(self, tmp_path, capsys):
-        code = main(["bench", "--out", str(tmp_path / "d"), "--generations", "3", "--seed", "1"])
-        assert code == 0
-        report = dict(line.split(",", 1) for line in capsys.readouterr().out.strip().splitlines())
-        assert report["population"] == "5000"
+    @pytest.fixture
+    def small(self, tmp_path):
+        """Three empty-road then three pedestrian pairs on a 64x64 rig."""
+        conf = tmp_path / "small.conf"
+        conf.write_text("image_size = 64, 64\nfocal_length_px = 80\nprincipal_point = 32, 32\nbaseline_m = 0.2\n")
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i, preset in enumerate(["empty-road"] * 3 + ["pedestrian-4m"] * 3):
+            scene = tmp_path / preset
+            if not scene.exists():
+                assert main(["synth", "--preset", preset, "--config", str(conf), "--out", str(scene)]) == 0
+            (frames / f"L_{i}.pgm").write_bytes((scene / "left.pgm").read_bytes())
+            (frames / f"R_{i}.pgm").write_bytes((scene / "right.pgm").read_bytes())
+        argv = ["sequence", "--left", str(frames / "L_*.pgm"), "--right", str(frames / "R_*.pgm")]
+        argv += ["--config", str(conf), "--population", "64", "--out", str(tmp_path / "out")]
+        return frames, argv
 
-    def test_population_scaling(self, tmp_path, capsys):
-        from flyswarm.cli import build_parser, _build_run_config, cmd_bench
+    def test_one_pair_in_memory(self, small, monkeypatch):
+        _, argv = small
+        images = []  # a weak reference to every decoded image
+        live_before = []  # decoded images still alive at each decode
+        first_line_reads = []
 
-        def run(pop):
-            args = build_parser().parse_args(
-                ["bench", "--out", str(tmp_path / "s"), "--population", str(pop), "--generations", "15", "--seed", "1"]
-            )
-            rc = _build_run_config(args, args.default_generations)
-            return cmd_bench(rc)
+        def counting_read(path):
+            live_before.append(sum(ref() is not None for ref in images))
+            image = read_pnm(path)
+            images.append(weakref.ref(image))
+            return image
 
-        small = run(5000)
-        big = run(10000)
-        ratio = big["mean_ms"] / small["mean_ms"]
-        assert 1.4 <= ratio <= 3.0
+        class FirstLine(io.StringIO):
+            def write(self, text):
+                if not first_line_reads:
+                    first_line_reads.append(len(images))
+                return super().write(text)
 
-    def test_repeat_stability(self, tmp_path):
-        from flyswarm.cli import build_parser, _build_run_config, cmd_bench
+        monkeypatch.setattr(cli, "read_pnm", counting_read)
+        monkeypatch.setattr(sys, "stdout", FirstLine())
+        assert main(argv) == 0
+        assert len(images) == 12
+        assert first_line_reads == [2]
+        # at most the frame in use (one pair) and the half-read next pair
+        assert max(live_before) <= 3
 
-        def run():
-            args = build_parser().parse_args(
-                ["bench", "--out", str(tmp_path / "r"), "--population", "2000", "--generations", "20", "--seed", "1"]
-            )
-            rc = _build_run_config(args, args.default_generations)
-            return cmd_bench(rc)["mean_ms"]
+    @pytest.mark.parametrize(
+        "fault, message", [("truncated", "truncated pixel data"), ("wrong size", "R_5.pgm image is 640x480")]
+    )
+    def test_bad_last_frame_exits_2(self, small, tmp_path, capsys, fault, message):
+        frames, argv = small
+        last = frames / "R_5.pgm"
+        if fault == "truncated":
+            last.write_bytes(last.read_bytes()[:-1])
+        else:
+            assert main(["synth", "--preset", "empty-road", "--out", str(tmp_path / "big")]) == 0
+            last.write_bytes((tmp_path / "big" / "right.pgm").read_bytes())
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 5  # the frames before it ran
+        assert captured.err.startswith("flyswarm: error:") and captured.err.count("\n") == 1
+        assert message in captured.err
 
-        a, b = run(), run()
-        assert abs(a - b) / max(a, b) < 0.35
+
+def test_bench_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+# bounded, so that no example renders or evolves more than a 64x64 pair
+# with 64 flies; a value that fails validation ends in exit code 2
+_small_number = st.one_of(
+    st.integers(-5, 64).map(str),
+    st.floats(-100, 100).map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "0.5", "640.9", "1_0", "0x10", "", ",", "junk"]),
+)
+_main_line = st.one_of(
+    st.tuples(
+        st.sampled_from(CONFIG_KEYS + ["emit_flies", "emit_overlays", "overlay_top_k", "generations"]),
+        st.lists(_small_number, max_size=7).map(", ".join),
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    lines=st.lists(_main_line, max_size=4),
+    side=st.integers(3, 64),
+    population=st.integers(-1, 64),
+    command=st.sampled_from(["detect", "synth"]),
+)
+def test_main_fuzz_exits_0_or_2(tmp_path_factory, lines, side, population, command):
+    # a small rig leads, so an image_size line among the fuzzed ones repeats the key
+    rig = f"image_size = {side}, {side}\nprincipal_point = {side / 2}, {side / 2}\nfocal_length_px = {side}"
+    work = tmp_path_factory.mktemp("fuzz")
+    conf = work / "run.conf"
+    conf.write_text("\n".join([rig, *lines]))
+    argv = [command, "--preset", "pedestrian-4m", "--config", str(conf), "--out", str(work / "out")]
+    if command == "detect":
+        argv += ["--population", str(population), "--generations", "1"]
+    assert main(argv) in (0, 2)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -215,9 +217,10 @@ class TestSharing:
         apply_sharing(pop, default_rig, default_params)
         assert np.all(pop.shared_fitness == 2.0)
 
-    def test_conservation_against_cell_oracle(self, default_rig, default_params):
-        # independent grouping oracle: occupancy * shared == raw for every
-        # fly, so summing occupancy * shared recovers the raw total
+    def test_conservation_against_cell_oracle(self, default_rig, default_params, pedestrian_frame):
+        # independent grouping oracle on the unbounded grid: occupancy *
+        # shared == raw for every fly, so summing occupancy * shared
+        # recovers the raw total
         rng = np.random.default_rng(5)
         blocks = []
         raws = []
@@ -226,8 +229,17 @@ class TestSharing:
             centre = sample_points(default_rig, rng, 1)[0]
             blocks += [centre] * count
             raws += [float(rng.uniform(1, 9))] * count
-        pop = Population(np.array(blocks))
-        pop.raw_fitness[:] = raws
+        # flies outside the volume: far off every side of the image, just
+        # past the left edge of one or both images, and beyond z_max (which
+        # projects inside them)
+        outside = [
+            [-60.0, 0.0, 2.0], [-80.0, 0.5, 3.0], [60.0, 0.0, 2.0], [0.0, 30.0, 2.0], [0.0, -30.0, 2.0],
+            [1e6, 1e6, 1.0], [-1.35, 0.0, 2.0], [-1.492, 0.0, 2.0], [0.0, 0.0, 60.0],
+        ]
+        pop = Population(np.array(blocks + outside))
+        evaluate_population(pop, pedestrian_frame, default_rig, default_params)
+        assert np.all(pop.raw_fitness[len(blocks) : -1] == 0.0)  # off the image
+        pop.raw_fitness[: len(blocks)] = raws
         apply_sharing(pop, default_rig, default_params)
         cell_of = {}
         for i in range(len(pop)):
@@ -245,6 +257,13 @@ class TestSharing:
                 )
                 total += pop.shared_fitness[i] * len(members)
         assert total == pytest.approx(pop.raw_fitness.sum(), rel=1e-9)
+
+    def test_cell_wider_than_int64(self, default_rig):
+        # used to end in an OverflowError; every visible fly shares one cell
+        pop = Population(sample_points(default_rig, np.random.default_rng(7), 50))
+        pop.raw_fitness[:] = 5.0
+        apply_sharing(pop, default_rig, EvolutionParams(sharing_cell_px=2**70))
+        assert np.all(pop.shared_fitness == 0.1)
 
     def test_penalized_forced_to_zero(self, default_rig, default_params):
         pop = Population(np.tile([0.0, 0.0, 5.0], (3, 1)))
@@ -433,6 +452,35 @@ class TestStepGeneration:
         far = pop.positions[:, 2] > wp.max_range_m
         assert far.any()
         assert np.all(pop.shared_fitness[far] == 0.0)
+
+
+def mean_generation_ms(rig, pair, population: int, generations: int) -> float:
+    """Mean wall time of ``step_generation`` after two warmup generations."""
+    params = EvolutionParams(population_size=population, rng_seed=1)
+    frame = StereoFrame(*pair)
+    rng = np.random.default_rng(1)
+    pop = Population.initialize(rig, params, rng)
+    wp = WarningParams()
+    for _ in range(2):
+        step_generation(pop, frame, rig, params, rng, wp)
+    durations = []
+    for _ in range(generations):
+        t0 = time.perf_counter()
+        step_generation(pop, frame, rig, params, rng, wp)
+        durations.append(time.perf_counter() - t0)
+    return float(np.mean(durations)) * 1e3
+
+
+class TestGenerationTiming:
+    def test_population_scaling(self, session_rig, pedestrian_pair):
+        small = mean_generation_ms(session_rig, pedestrian_pair, 5000, 15)
+        big = mean_generation_ms(session_rig, pedestrian_pair, 10000, 15)
+        assert 1.4 <= big / small <= 3.0
+
+    def test_repeat_stability(self, session_rig, pedestrian_pair):
+        a = mean_generation_ms(session_rig, pedestrian_pair, 2000, 20)
+        b = mean_generation_ms(session_rig, pedestrian_pair, 2000, 20)
+        assert abs(a - b) / max(a, b) < 0.35
 
 
 def test_offspring_counts_default_mix():
