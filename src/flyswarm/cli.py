@@ -5,7 +5,8 @@ generation to stdout, then the final global warning on its own line.
 Every generation runs through ``evolution.step_generation``; ``sequence``
 decodes each pair only when the loop reaches it. All outputs are
 deterministic for a fixed seed. Rejected input (flag and config values,
-PNM bytes) ends in exit code 2 and a one-line message on stderr.
+PNM bytes, sizes too large to allocate) ends in exit code 2 and a
+one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -294,7 +295,9 @@ def main(argv=None) -> int:
     try:
         rc = _build_run_config(args, args.default_generations)
         return args.func(rc)
-    except (ValueError, OSError) as exc:  # ValueError covers ConfigError and PnmParseError
+    except (ValueError, OSError, MemoryError) as exc:
+        # ValueError covers ConfigError and PnmParseError; MemoryError covers
+        # numpy refusing the allocation a huge size asks for
         print(f"flyswarm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,9 @@
 Each individual ("fly") is a single 3-D point; the population as a whole
 is the scene description. One generation, in order:
 
-1. evaluate the raw fitness of every fly against the current frame,
+1. evaluate the raw fitness of every fly against the current frame
+   (survivors of the last selection keep theirs while the frame, rig,
+   radius and epsilon are unchanged, so only the new flies are scored),
 2. flag useless flies and apply fitness sharing,
 3. compute the global warning of the evaluated population,
 4. keep the best ``selection_ratio`` of the population (elitist,
@@ -32,11 +34,13 @@ full-frame work.
 
 The population is stored as structure-of-arrays and every operator
 works on whole arrays, so a full generation at population 5000 stays
-well inside a real-time budget.
+well inside a real-time budget. Selection partitions the shared fitness
+around the k-th largest value instead of sorting it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +64,11 @@ _LUMA = np.asarray(LUMA_WEIGHTS)
 # Flies per block of SSD windows: small integer temporaries are reused
 # from the heap instead of being faulted in afresh on every call.
 _BLOCK = 1024
+
+# Serial number of each StereoFrame: a population's cached scores name the
+# frame by it, so they neither keep a dead frame alive nor match a new
+# frame that happens to reuse its id().
+_FRAME_SERIALS = itertools.count()
 
 
 @dataclass
@@ -103,7 +112,17 @@ class EvolutionParams:
 
 
 class Population:
-    """Fixed-size swarm stored as parallel arrays."""
+    """Fixed-size swarm stored as parallel arrays.
+
+    ``raw_fitness`` doubles as a score cache: ``score_key`` names the
+    frame (by serial number), rig, ``neighborhood_radius`` and
+    ``fitness_epsilon`` it was scored with, and ``scored_rows`` how many
+    leading rows still hold that score. ``evaluate_population`` scores
+    only the rows past ``scored_rows`` when the key matches.
+    ``select_and_refill`` is the only in-place writer of ``positions``
+    that keeps the cache valid; a caller that edits positions itself
+    builds a new ``Population``.
+    """
 
     def __init__(self, positions: np.ndarray, generation_index: int = 0):
         positions = np.asarray(positions, dtype=np.float64)
@@ -115,6 +134,8 @@ class Population:
         self.shared_fitness = np.zeros(n, dtype=np.float64)
         self.penalized = np.zeros(n, dtype=bool)
         self.generation_index = generation_index
+        self.score_key = None
+        self.scored_rows = 0
 
     @classmethod
     def initialize(cls, rig: StereoRig, params: EvolutionParams, rng: np.random.Generator) -> "Population":
@@ -185,18 +206,29 @@ class StereoFrame:
             raise ValueError(f"images must be at least 3x3, got {left.width}x{left.height}")
         self.left = left
         self.right = right
+        self.serial = next(_FRAME_SERIALS)
         self._left = _SobelMemo(left)
         self._right = _SobelMemo(right)
 
 
 def evaluate_population(population: Population, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> None:
-    """Raw fitness for every fly; 0 for flies whose windows leave either image."""
-    positions = population.positions
+    """Raw fitness for every fly; 0 for flies whose windows leave either image.
+
+    Every step of the score is per fly, so rows already scored on this
+    frame, rig, radius and epsilon (the survivors of ``select_and_refill``)
+    keep their bits and only the rows after them are scored.
+    """
+    key = (frame.serial, rig, params.neighborhood_radius, params.fitness_epsilon)
+    start = population.scored_rows if population.score_key == key else 0
+    population.raw_fitness[start:] = _raw_fitness(population.positions[start:], frame, rig, params)
+    population.score_key, population.scored_rows = key, len(population)
+
+
+def _raw_fitness(positions: np.ndarray, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> np.ndarray:
     n = params.neighborhood_radius
     w, h, c = frame.left.width, frame.left.height, frame.left.channels
     if w < 2 * n + 1 or h < 2 * n + 1:
-        population.raw_fitness[:] = 0.0
-        return
+        return np.zeros(len(positions))
     u_left, u_right, v = project_many(rig, positions)
     vis = visible_many(rig, u_left, u_right, v, positions[:, 2], margin=n)
 
@@ -221,7 +253,7 @@ def evaluate_population(population: Population, frame: StereoFrame, rig: StereoR
         block = slice(start, start + _BLOCK)
         diff = np.subtract(left[centre_l[block, None] * c + window], right[centre_r[block, None] * c + window], dtype=acc)
         ssd[block] = np.einsum("nk,nk->n", diff, diff)
-    population.raw_fitness[:] = np.where(vis, numerator / (params.fitness_epsilon + ssd), 0.0)
+    return np.where(vis, numerator / (params.fitness_epsilon + ssd), 0.0)
 
 
 def apply_sharing(population: Population, rig: StereoRig, params: EvolutionParams) -> None:
@@ -257,10 +289,18 @@ def survivor_count(ratio: float, population_size: int) -> int:
 
 
 def select(population: Population, params: EvolutionParams) -> np.ndarray:
-    """Indices of the elite by shared fitness, ascending index order."""
-    k = survivor_count(params.selection_ratio, len(population))
-    order = np.argsort(-population.shared_fitness, kind="stable")
-    return np.sort(order[:k])
+    """Indices of the elite by shared fitness, ascending index order.
+
+    Every fly above the k-th largest value survives, and the lowest-index
+    flies equal to it fill the rest: the first k of a stable descending
+    sort, found with a partition instead of a sort.
+    """
+    fitness = population.shared_fitness
+    k = survivor_count(params.selection_ratio, len(fitness))
+    kth = np.partition(fitness, len(fitness) - k)[len(fitness) - k]
+    elite = fitness > kth
+    elite[np.flatnonzero(fitness == kth)[: k - np.count_nonzero(elite)]] = True
+    return np.flatnonzero(elite)
 
 
 def crossover(parent1: np.ndarray, parent2: np.ndarray, lam) -> np.ndarray:
@@ -354,6 +394,9 @@ def select_and_refill(
     population.penalized[:s] = surv_pen
     population.penalized[s:] = False
     population.generation_index += 1
+    # survivors ascend, so those taken from scored rows lead and now fill
+    # rows [:count]; their raw fitness is still the cached score
+    population.scored_rows = int(np.searchsorted(survivors, population.scored_rows))
 
 
 def evaluate_and_share(

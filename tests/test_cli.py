@@ -354,6 +354,25 @@ class TestFailureContract:
         assert out == ""
         assert err.startswith("flyswarm: error:") and err.count("\n") == 1
 
+    # numpy refuses these PiB-sized requests at once, without allocating
+    @pytest.mark.parametrize(
+        "extra, config", [((), "population_size = 1e15\n"), (("--population", "1000000000000000"), None)]
+    )
+    def test_unallocatable_population_exits_2(self, tmp_path, capsys, extra, config):
+        code, out, err = self.run_detect(tmp_path, capsys, *extra, config=config)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("flyswarm: error:") and err.count("\n") == 1
+
+    def test_unallocatable_image_size_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("image_size = 100000000, 100000000\n")
+        capsys.readouterr()
+        code = main(["synth", "--preset", "empty-road", "--config", str(conf), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("flyswarm: error:") and err.count("\n") == 1
+
     def test_non_finite_config_number_rejected(self):
         for value in ("nan", "inf", "-inf", "0.4, nan"):
             with pytest.raises(ConfigError, match="finite"):

@@ -1,9 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from flyswarm import evolution
 from flyswarm.evolution import (
     EvolutionParams,
     Population,
@@ -15,11 +17,12 @@ from flyswarm.evolution import (
     evaluate_population,
     mutate,
     select,
+    select_and_refill,
     step_generation,
     survivor_count,
 )
 from flyswarm.imaging import Image, sobel_norm_map
-from flyswarm.stereo_geometry import project, sample_points, search_volume
+from flyswarm.stereo_geometry import project, project_many, sample_points, search_volume
 from flyswarm.synth import Scene, TexturedRect, render_stereo_pair
 from flyswarm.warning import WarningParams
 from test_imaging import window_fitness
@@ -203,6 +206,61 @@ class TestGradientMemo:
             StereoFrame(img, img)
 
 
+class TestScoreCache:
+    """Survivors keep their raw fitness while the frame, rig, radius and
+    epsilon stay the same; every other row is scored again."""
+
+    def test_only_rows_after_the_survivors_are_scored(self, monkeypatch, session_rig, pedestrian_pair):
+        projected = []
+
+        def recording(rig, points):
+            projected.append(len(points))
+            return project_many(rig, points)
+
+        monkeypatch.setattr(evolution, "project_many", recording)
+        params = EvolutionParams()
+        rng = np.random.default_rng(21)
+        pop = Population.initialize(session_rig, params, rng)
+        n, s = len(pop), survivor_count(params.selection_ratio, len(pop))
+
+        def rows_scored(target, frame, rig=session_rig, params=params):
+            """Rows ``evaluate_population`` projects; its scores must equal
+            a full evaluation of a fresh twin, bit for bit."""
+            del projected[:]
+            evaluate_population(target, frame, rig, params)
+            rows = sum(projected)
+            twin = Population(target.positions)
+            evaluate_population(twin, frame, rig, params)
+            assert target.raw_fitness.tobytes() == twin.raw_fitness.tobytes()
+            return rows
+
+        def refill():
+            apply_sharing(pop, session_rig, params)
+            select_and_refill(pop, session_rig, params, rng)
+
+        frame = StereoFrame(*pedestrian_pair)
+        assert rows_scored(pop, frame) == n
+        assert rows_scored(pop, frame) == 0
+        refill()
+        assert rows_scored(pop, frame) == n - s == 3000
+        refill()
+        # a wider second selection also keeps 1000 children that were never scored
+        select_and_refill(pop, session_rig, EvolutionParams(selection_ratio=0.6), rng)
+        assert rows_scored(pop, frame) == n - s
+        refill()
+        assert rows_scored(pop, StereoFrame(*pedestrian_pair)) == n  # equal pixels, new frame
+        refill()
+        inverted = StereoFrame(*(Image.from_array(255 - img.samples) for img in pedestrian_pair))
+        assert rows_scored(pop, inverted) == n
+        refill()
+        assert rows_scored(pop, inverted, params=EvolutionParams(fitness_epsilon=2.0)) == n
+        refill()
+        assert rows_scored(pop, inverted, params=EvolutionParams(neighborhood_radius=3)) == n
+        refill()
+        assert rows_scored(pop, inverted, rig=dataclasses.replace(session_rig, baseline_m=0.5)) == n
+        assert rows_scored(Population(pop.positions), inverted) == n
+
+
 class TestSharing:
     def test_alone_keeps_raw(self, default_rig, default_params):
         pos = np.array([[0.0, 0.0, 5.0], [1.5, 0.5, 9.0]])
@@ -308,6 +366,18 @@ class TestSelect:
         mask = np.zeros(101, dtype=bool)
         mask[survivors] = True
         assert pop.shared_fitness[mask].min() >= pop.shared_fitness[~mask].max()
+
+    @given(
+        fitness=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e6)), min_size=1, max_size=80),
+        ratio=st.one_of(st.sampled_from([1.0, 1e-6, 0.4]), st.floats(0.001, 1.0)),
+    )
+    def test_matches_stable_sort_oracle(self, fitness, ratio):
+        f = np.array(fitness)
+        pop = Population(np.zeros((len(f), 3)))
+        pop.shared_fitness[:] = f
+        k = survivor_count(ratio, len(f))
+        expected = np.sort(np.argsort(-f, kind="stable")[:k])
+        assert select(pop, EvolutionParams(selection_ratio=ratio)).tolist() == expected.tolist()
 
     def test_survivor_count_rounding(self):
         assert survivor_count(0.4, 5000) == 2000
