@@ -5,14 +5,16 @@ generation to stdout, then the final global warning on its own line.
 Every generation runs through ``evolution.step_generation``; ``sequence``
 decodes each pair only when the loop reaches it. All outputs are
 deterministic for a fixed seed. Rejected input (flag and config values,
-PNM bytes, sizes too large to allocate) ends in exit code 2 and a
-one-line message on stderr.
+unknown config keys, PNM bytes, sizes too large to allocate) ends in
+exit code 2 and a one-line message on stderr. A reader that closes
+stdout early ends the run with exit code 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -23,7 +25,9 @@ import numpy as np
 from . import evolution
 from .config import (
     ConfigError,
+    KeyLog,
     evolution_params_from_config,
+    get_flag,
     get_int,
     load_config,
     rig_from_config,
@@ -57,35 +61,36 @@ class RunConfig:
     def __post_init__(self):
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
+        if self.overlay_top_k < 0:
+            raise ConfigError(f"overlay_top_k must be >= 0, got {self.overlay_top_k}")
 
 
 def _build_run_config(args, default_generations: int) -> RunConfig:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = KeyLog(load_config(args.config) if args.config else {})
     rig = rig_from_config(cfg)
     evo = evolution_params_from_config(cfg)
     if getattr(args, "population", None) is not None:
         evo = EvolutionParams(**{**evo.__dict__, "population_size": args.population})
     if getattr(args, "seed", None) is not None:
         evo = EvolutionParams(**{**evo.__dict__, "rng_seed": args.seed})
-    generations = (
-        args.generations
-        if args.generations is not None
-        else get_int(cfg, "generations", default_generations)
-    )
-    return RunConfig(
+    # read even when the flag overrides it, so the key counts as known
+    generations = get_int(cfg, "generations", default_generations)
+    rc = RunConfig(
         rig=rig,
         evo=evo,
         warn=warning_params_from_config(cfg),
-        generations=generations,
+        generations=args.generations if args.generations is not None else generations,
         out_dir=Path(args.out),
         left=getattr(args, "left", None),
         right=getattr(args, "right", None),
         preset=getattr(args, "preset", None),
         scene=scene_from_config(cfg),
         overlay_top_k=get_int(cfg, "overlay_top_k", 250),
-        emit_flies=bool(get_int(cfg, "emit_flies", 1)),
-        emit_overlays=bool(get_int(cfg, "emit_overlays", 1)),
+        emit_flies=get_flag(cfg, "emit_flies", True),
+        emit_overlays=get_flag(cfg, "emit_overlays", True),
     )
+    cfg.reject_unread()
+    return rc
 
 
 def _resolve_scene(rc: RunConfig) -> Scene:
@@ -205,7 +210,7 @@ def _run_loop(rc: RunConfig, frames: Iterable[tuple[Image, Image]], budget: int)
     generation = 0
     frame = None
     for left, right in frames:
-        # keep the frame, and the gradients its memo holds, while the pixels repeat
+        # keep the frame while the pixels repeat, so the survivors' scores stay valid
         if frame is None or not (
             np.array_equal(left.samples, frame.left.samples)
             and np.array_equal(right.samples, frame.right.samples)
@@ -294,7 +299,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = _build_run_config(args, args.default_generations)
-        return args.func(rc)
+        code = args.func(rc)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -1`), which is not bad input;
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, MemoryError) as exc:
         # ValueError covers ConfigError and PnmParseError; MemoryError covers
         # numpy refusing the allocation a huge size asks for

@@ -36,7 +36,6 @@ DEFAULT_CAMERA_HEIGHT_M = 1.2
 DEFAULT_Z_MIN_M = 1.0
 DEFAULT_Z_MAX_M = 20.0
 
-
 class ConfigError(ValueError):
     """Bad configuration file or inconsistent run options."""
 
@@ -61,6 +60,34 @@ def parse_config_text(text: str) -> dict[str, list[str]]:
 def load_config(path) -> dict[str, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
+
+
+class KeyLog(dict):
+    """A parsed config that notes every key looked up in it with ``get``
+    or ``in``, the only lookups the readers make.
+
+    Once a run is built from it, the keys never looked up are the ones no
+    reader knows, so the readers themselves are the list of valid keys.
+    """
+
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        self.read: set[str] = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def reject_unread(self) -> None:
+        """ConfigError naming the first key never looked up: a misspelt
+        key would otherwise leave its default in force without a word."""
+        unread = sorted(set(self) - self.read)
+        if unread:
+            raise ConfigError(f"unknown key {unread[0]!r}")
 
 
 def _numbers(value: str) -> list[float]:
@@ -100,6 +127,13 @@ def _integer(value: float, key: str) -> int:
 def get_int(cfg: dict, key: str, default: int | None) -> int | None:
     values = get_floats(cfg, key, None, 1)
     return default if values is None else _integer(values[0], key)
+
+
+def get_flag(cfg: dict, key: str, default: bool) -> bool:
+    value = get_int(cfg, key, int(default))
+    if value not in (0, 1):
+        raise ConfigError(f"key {key!r} expects 0 or 1, got {value}")
+    return bool(value)
 
 
 def get_floats(cfg: dict, key: str, default, count: int):

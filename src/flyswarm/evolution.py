@@ -25,12 +25,12 @@ flies in front of or behind a surface compare unrelated windows; flies
 over uniform regions are killed by the gradient product.
 
 The swarm only ever looks at the pixels its flies project onto, and so
-does the code: a ``StereoFrame`` holds the two uint8 images and, per
-view, a Sobel-norm memo that computes a pixel's gradient from a 3x3
-gather the first time a fly reads it. The SSD windows are gathered as
-uint8 and summed in integers. Both give the same bits as the full-frame
-``imaging.sobel_norm_map`` and a float64 SSD, so a new frame costs no
-full-frame work.
+does the code: a ``StereoFrame`` holds the two uint8 images, and each
+new fly gathers one uint8 window per view around its projection. The
+Sobel norm comes from the window's central 3x3 and the SSD from its
+central neighborhood, summed in integers. Both give the same bits as
+the full-frame ``imaging.sobel_norm_map`` and a float64 SSD, so a new
+frame costs no full-frame work.
 
 The population is stored as structure-of-arrays and every operator
 works on whole arrays, so a full generation at population 5000 stays
@@ -109,6 +109,13 @@ class EvolutionParams:
             raise ValueError(f"fitness_epsilon must be > 0, got {self.fitness_epsilon}")
         if self.neighborhood_radius < 0 or self.sharing_cell_px < 1:
             raise ValueError("neighborhood_radius must be >= 0 and sharing_cell_px >= 1")
+        # a negative exponent would turn the crowding penalty into a reward
+        if self.sharing_exponent < 0:
+            raise ValueError(f"sharing_exponent must be >= 0, got {self.sharing_exponent}")
+        if self.mutation_sigma is not None:
+            sigma = np.asarray(self.mutation_sigma, dtype=np.float64)
+            if sigma.shape != (3,) or np.any(sigma < 0):
+                raise ValueError("mutation_sigma must be three non-negative values")
 
 
 class Population:
@@ -147,56 +154,13 @@ class Population:
         return self.positions.shape[0]
 
 
-class _SobelMemo:
-    """Sobel norms of one view's luminance, each computed the first time
-    a fly reads its pixel.
-
-    Every value equals ``sobel_norm_map(image).norms`` at the same pixel,
-    bit for bit: the same luminance (``LUMA_WEIGHTS`` applied with ``@``
-    to a C-contiguous 2-D float64 gather), the same Sobel sums and
-    ``np.hypot``; the 1 px border reads 0. ``norms`` starts uninitialised,
-    so only the pages that flies look at are ever touched.
-    """
-
-    def __init__(self, image: Image):
-        self.width, self.height, self.channels = image.width, image.height, image.channels
-        self.samples = image.samples.reshape(-1)  # flat uint8, pixel-major
-        n_px = image.width * image.height
-        self.norms = np.empty(n_px)
-        self.known = np.zeros(n_px, dtype=bool)
-        span = np.arange(-1, 2)
-        self._stencil = (span[:, None] * self.width + span[None, :]).reshape(9, 1)
-
-    def at(self, pixels: np.ndarray) -> np.ndarray:
-        """Norms at flat pixel indices, filling the missing ones first."""
-        missing = pixels[~self.known[pixels]]
-        if missing.size:
-            self.norms[missing] = self._sobel(missing)
-            self.known[missing] = True
-        return self.norms[pixels]
-
-    def _sobel(self, pixels: np.ndarray) -> np.ndarray:
-        w, h = self.width, self.height
-        row, col = np.divmod(pixels, w)
-        inner = (row >= 1) & (row <= h - 2) & (col >= 1) & (col <= w - 2)
-        around = self._stencil + (np.clip(row, 1, h - 2) * w + np.clip(col, 1, w - 2))
-        if self.channels == 1:
-            p = self.samples[around].astype(np.float64)
-        else:
-            rgb = self.samples.reshape(-1, self.channels)[around.ravel()]
-            p = (rgb.astype(np.float64) @ _LUMA).reshape(around.shape)
-        gx = (p[2] + 2.0 * p[5] + p[8]) - (p[0] + 2.0 * p[3] + p[6])
-        gy = (p[6] + 2.0 * p[7] + p[8]) - (p[0] + 2.0 * p[1] + p[2])
-        return np.where(inner, np.hypot(gx, gy), 0.0)
-
-
 class StereoFrame:
-    """One stereo pair: the two uint8 images and a Sobel-norm memo per view.
+    """One stereo pair: the two uint8 images, checked to match, and a
+    serial number that names the frame in a population's score cache.
 
     Nothing is computed over the whole frame. ``evaluate_population``
-    reads the gradient at each fly's rounded projections from the memos,
-    which compute the missing ones from a 3x3 gather, and gathers the SSD
-    windows as uint8.
+    gathers one uint8 window per view around each new fly's rounded
+    projection and reads both the gradient and the SSD from it.
     """
 
     def __init__(self, left: Image, right: Image):
@@ -207,8 +171,6 @@ class StereoFrame:
         self.left = left
         self.right = right
         self.serial = next(_FRAME_SERIALS)
-        self._left = _SobelMemo(left)
-        self._right = _SobelMemo(right)
 
 
 def evaluate_population(population: Population, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> None:
@@ -226,34 +188,67 @@ def evaluate_population(population: Population, frame: StereoFrame, rig: StereoR
 
 def _raw_fitness(positions: np.ndarray, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> np.ndarray:
     n = params.neighborhood_radius
+    m = max(n, 1)  # the window must hold the 3x3 Sobel stencil
     w, h, c = frame.left.width, frame.left.height, frame.left.channels
     if w < 2 * n + 1 or h < 2 * n + 1:
         return np.zeros(len(positions))
     u_left, u_right, v = project_many(rig, positions)
-    vis = visible_many(rig, u_left, u_right, v, positions[:, 2], margin=n)
+    scored = visible_many(rig, u_left, u_right, v, positions[:, 2], margin=n)
 
     # clip before the int cast: invisible flies can project arbitrarily
     # far outside the raster and their indices are replaced anyway
-    iu_l = np.where(vis, np.rint(np.clip(u_left, 0, w - 1)).astype(np.int64), n)
-    iu_r = np.where(vis, np.rint(np.clip(u_right, 0, w - 1)).astype(np.int64), n)
-    iv = np.where(vis, np.rint(np.clip(v, 0, h - 1)).astype(np.int64), n)
+    iu_l = np.rint(np.clip(u_left, 0, w - 1)).astype(np.int64)
+    iu_r = np.rint(np.clip(u_right, 0, w - 1)).astype(np.int64)
+    iv = np.rint(np.clip(v, 0, h - 1)).astype(np.int64)
+    if n == 0:
+        # a visible centre may lie on the 1 px border, where the reference
+        # Sobel norm is 0; such a fly scores 0 and its window is never read
+        scored &= (np.minimum(iu_l, iu_r) >= 1) & (np.maximum(iu_l, iu_r) <= w - 2) & (iv >= 1) & (iv <= h - 2)
+    row = np.where(scored, iv, m) * w
+    centre_l = row + np.where(scored, iu_l, m)
+    centre_r = row + np.where(scored, iu_r, m)
 
-    centre_l = iv * w + iu_l
-    centre_r = iv * w + iu_r
-    numerator = frame._left.at(centre_l) * frame._right.at(centre_r)
-
-    # SSD over uint8 windows in integers, which is exact; int32 holds the
-    # sum unless the window is huge
-    span = np.arange(-n, n + 1, dtype=np.int64)
+    # one (2m+1)^2 uint8 window per fly and view, pixel-major, channels
+    # last; the SSD reads its central (2n+1)^2 pixels, summed in integers,
+    # which is exact; int32 holds the sum unless the window is huge
+    span = np.arange(-m, m + 1, dtype=np.int64)
     window = ((span[:, None] * w + span[None, :]).reshape(-1, 1) * c + np.arange(c)).ravel()
+    cols = slice(None) if n else slice(4 * c, 5 * c)
     acc = np.int32 if window.size * 255**2 < 2**31 else np.int64
-    left, right = frame._left.samples, frame._right.samples
+    left, right = frame.left.samples.reshape(-1), frame.right.samples.reshape(-1)
+    win = np.empty((2, len(positions), window.size), dtype=np.uint8)  # left, right
     ssd = np.empty(len(positions), dtype=np.int64)
     for start in range(0, len(positions), _BLOCK):
         block = slice(start, start + _BLOCK)
-        diff = np.subtract(left[centre_l[block, None] * c + window], right[centre_r[block, None] * c + window], dtype=acc)
+        np.take(left, centre_l[block, None] * c + window, out=win[0, block])
+        np.take(right, centre_r[block, None] * c + window, out=win[1, block])
+        diff = np.subtract(win[0, block, cols], win[1, block, cols], dtype=acc)
         ssd[block] = np.einsum("nk,nk->n", diff, diff)
-    return np.where(vis, numerator / (params.fitness_epsilon + ssd), 0.0)
+    # one Sobel pass over both views and the whole batch
+    norms = _sobel_norm(win.reshape(-1, window.size), m, c)
+    numerator = norms[: len(positions)] * norms[len(positions) :]
+    return np.where(scored, numerator / (params.fitness_epsilon + ssd), 0.0)
+
+
+def _sobel_norm(windows: np.ndarray, m: int, c: int) -> np.ndarray:
+    """Sobel norm of the luminance at the centre of each (2m+1)^2 window.
+
+    Bit-identical to ``imaging.sobel_norm_map`` at that pixel: the same
+    luminance (``LUMA_WEIGHTS`` applied with ``@`` to a C-contiguous
+    float64 array of pixel rows), the same sums and ``np.hypot``. The
+    stencil is laid out one row per position, so each sum runs over
+    contiguous memory.
+    """
+    k = 2 * m + 1
+    stencil = (np.arange(m - 1, m + 2)[:, None] * k + np.arange(m - 1, m + 2)).ravel()
+    if c == 1:
+        p = windows.T[stencil].astype(np.float64)
+    else:
+        rgb = windows.reshape(len(windows), k * k, c)[:, stencil].transpose(1, 0, 2)
+        p = (rgb.astype(np.float64, order="C").reshape(-1, c) @ _LUMA).reshape(9, -1)
+    gx = (p[2] + 2.0 * p[5] + p[8]) - (p[0] + 2.0 * p[3] + p[6])
+    gy = (p[6] + 2.0 * p[7] + p[8]) - (p[0] + 2.0 * p[1] + p[2])
+    return np.hypot(gx, gy)
 
 
 def apply_sharing(population: Population, rig: StereoRig, params: EvolutionParams) -> None:
@@ -316,10 +311,7 @@ def crossover(parent1: np.ndarray, parent2: np.ndarray, lam) -> np.ndarray:
 
 def resolve_mutation_sigma(params: EvolutionParams, rig: StereoRig) -> np.ndarray:
     if params.mutation_sigma is not None:
-        sigma = np.asarray(params.mutation_sigma, dtype=np.float64)
-        if sigma.shape != (3,) or np.any(sigma < 0):
-            raise ValueError("mutation_sigma must be three non-negative values")
-        return sigma
+        return np.asarray(params.mutation_sigma, dtype=np.float64)
     lo, hi = search_volume(rig, params.neighborhood_radius).bounding_box()
     return DEFAULT_SIGMA_FRACTION * (hi - lo)
 

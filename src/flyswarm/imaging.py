@@ -6,8 +6,8 @@ a decoded image enforces it, as a read-only view over the file's bytes. Pixel
 coordinates follow the (column, row) convention of stereo_geometry.
 
 ``sobel_norm_map`` is the reference for the gradients the fitness reads:
-``evolution.StereoFrame`` computes them only at the pixels flies project
-onto, and the tests check the two agree bit for bit.
+``evolution.evaluate_population`` computes them only at the pixels flies
+project onto, and the tests check the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ def sobel_norm_map(image: Image) -> GradientMap:
     """Euclidean Sobel gradient norm of the luminance plane.
 
     Border pixels are set to 0. The fitness path does not call this; it
-    is the reference that ``evolution.StereoFrame``'s per-pixel gradients
-    are tested against.
+    is the reference that the per-fly gradients of
+    ``evolution.evaluate_population`` are tested against.
     """
     if image.width < 3 or image.height < 3:
         raise ValueError(f"image must be at least 3x3, got {image.width}x{image.height}")

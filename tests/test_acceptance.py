@@ -211,7 +211,7 @@ def test_a5_fitness_oracle(session_rig, pedestrian_pair):
     pts = sample_points(session_rig, rng, 1000, margin=params.neighborhood_radius)
     pop = Population(pts)
     evaluate_population(pop, frame, session_rig, params)
-    # the oracle reads the full-frame reference maps, not the frame's memo
+    # the oracle reads the full-frame reference maps, not the per-fly windows
     grad_left, grad_right = sobel_norm_map(left), sobel_norm_map(right)
     worst = 0.0
     for i in range(1000):

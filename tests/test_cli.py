@@ -1,4 +1,7 @@
+import argparse
 import io
+import os
+import subprocess
 import sys
 import weakref
 
@@ -6,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import flyswarm
 from flyswarm import cli
 from flyswarm.cli import main
 from flyswarm.config import (
     ConfigError,
+    KeyLog,
     evolution_params_from_config,
     parse_config_text,
     rig_from_config,
@@ -111,22 +116,27 @@ CONFIG_KEYS = (
     "population_size selection_ratio mutation_fraction crossover_fraction immigration_fraction "
     "mutation_sigma neighborhood_radius sharing_cell_px sharing_exponent fitness_epsilon rng_seed "
     "max_height_m min_height_m max_range_m x_clamp_m z_clamp_m "
-    "obstacle ground_texture_seed background_grey ground_texture_cell_m unknown_key"
+    "obstacle ground_texture_seed background_grey ground_texture_cell_m"
 ).split()
+RUN_CONFIG_KEYS = ["emit_flies", "emit_overlays", "overlay_top_k", "generations"]
 _number = st.one_of(
     st.integers(-5, 1000).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "1e999", "0.5", "640.9", "1_0", "0x10", "", ","]),
 )
 _config_line = st.tuples(
-    st.sampled_from(CONFIG_KEYS),
+    st.one_of(
+        st.sampled_from(CONFIG_KEYS + RUN_CONFIG_KEYS),
+        st.sampled_from(["unknown_key", "populaton_size", "Baseline_m"]),
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,15}", fullmatch=True),
+    ),
     st.one_of(st.lists(_number, max_size=8).map(", ".join), st.text(max_size=10)),
 ).map(lambda kv: f"{kv[0]} = {kv[1]}")
 CONFIG_TEXT = st.one_of(st.text(max_size=60), st.lists(_config_line, max_size=6).map("\n".join))
 
 
 @given(text=CONFIG_TEXT)
-def test_config_fuzz_yields_value_or_config_error(text):
+def test_config_fuzz_yields_value_or_config_error(tmp_path_factory, text):
     try:
         cfg = parse_config_text(text)
     except ConfigError:
@@ -136,6 +146,33 @@ def test_config_fuzz_yields_value_or_config_error(text):
             build(cfg)
         except ConfigError:
             pass
+    # a whole run config is built, or fails naming an unknown key, exactly
+    # as the text holds no key or some key outside the documented ones
+    conf = tmp_path_factory.mktemp("conf") / "run.conf"
+    conf.write_text(text, encoding="utf-8")
+    unknown = set(cfg) - set(CONFIG_KEYS) - set(RUN_CONFIG_KEYS)
+    try:
+        cli._build_run_config(argparse.Namespace(config=str(conf), generations=None, out=str(conf.parent)), 1)
+    except ConfigError as exc:
+        if "unknown key" in str(exc):
+            assert any(str(exc) == f"unknown key {key!r}" for key in unknown)
+        return
+    assert not unknown
+
+
+def test_documented_keys_are_the_keys_a_run_reads(monkeypatch, tmp_path):
+    # the readers are the only list of valid keys; with no config at all
+    # they still look up every key, the flag-overridden generations too
+    logs = []
+
+    class Recorded(KeyLog):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            logs.append(self)
+
+    monkeypatch.setattr(cli, "KeyLog", Recorded)
+    cli._build_run_config(argparse.Namespace(config=None, generations=5, out=str(tmp_path)), 1)
+    assert [log.read for log in logs] == [set(CONFIG_KEYS) | set(RUN_CONFIG_KEYS)]
 
 
 class TestSynthCommand:
@@ -378,6 +415,71 @@ class TestFailureContract:
             with pytest.raises(ConfigError, match="finite"):
                 rig_from_config(parse_config_text(f"baseline_m = {value}\n"))
 
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        # a misspelt key used to leave the default (5000) in force, exit 0
+        code, out, err = self.run_detect(tmp_path, capsys, config="populaton_size = 100\n")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "unknown key 'populaton_size'" in err
+
+    @pytest.mark.parametrize("line", ["emit_flies = 7", "emit_overlays = -1", "emit_flies = 2"])
+    def test_emit_flag_other_than_0_or_1_exits_2(self, tmp_path, capsys, line):
+        # any integer used to mean true
+        code, out, err = self.run_detect(tmp_path, capsys, config=line + "\n")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and line.split()[0] in err
+
+    def test_negative_overlay_top_k_exits_2_before_the_run(self, tmp_path, capsys):
+        # used to fail only after the run, with flies.csv and the trace written
+        code, out, err = self.run_detect(tmp_path, capsys, config="overlay_top_k = -1\n")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "overlay_top_k" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overlay_top_k_zero_is_legal(self, tmp_path, capsys):
+        code, _, _ = self.run_detect(tmp_path, capsys, config="overlay_top_k = 0\n")
+        assert code == 0
+        assert (tmp_path / "out" / "overlay_left.ppm").exists()
+
+    @pytest.mark.parametrize("exponent, expected", [("-3", 2), ("-0.5", 2), ("0", 0)])
+    def test_negative_sharing_exponent_exits_2(self, tmp_path, capsys, exponent, expected):
+        # -3 used to turn the crowding penalty into a reward; 0 (no sharing) stays legal
+        code, _, err = self.run_detect(tmp_path, capsys, config=f"sharing_exponent = {exponent}\n")
+        assert code == expected
+        if expected == 2:
+            assert err.count("\n") == 1 and "sharing_exponent" in err
+
+    @pytest.mark.parametrize("mix", ["", "mutation_fraction = 0\ncrossover_fraction = 0.9\n"])
+    def test_negative_mutation_sigma_exits_2_before_the_run(self, tmp_path, capsys, mix):
+        # used to be checked at the first mutation, inside the run, and
+        # never when no mutant is drawn
+        code, out, err = self.run_detect(tmp_path, capsys, config=mix + "mutation_sigma = -1, 0.1, 0.1\n")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "mutation_sigma" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_closed_stdout_exits_1_without_a_message(self, tmp_path):
+        # more output than a pipe holds, so the writer is still writing
+        # when the reader closes its end
+        argv = ["detect", "--preset", "pedestrian-4m", "--population", "8", "--generations", "20000"]
+        src = os.path.dirname(os.path.dirname(flyswarm.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flyswarm", *argv, "--out", str(tmp_path / "out")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b"1,")
+        assert err == b""
+
 
 class TestSequenceCommand:
     def test_constant_scene_trace_stabilizes(self, tmp_path):
@@ -511,7 +613,7 @@ _small_number = st.one_of(
 )
 _main_line = st.one_of(
     st.tuples(
-        st.sampled_from(CONFIG_KEYS + ["emit_flies", "emit_overlays", "overlay_top_k", "generations"]),
+        st.sampled_from(CONFIG_KEYS + RUN_CONFIG_KEYS + ["unknown_key"]),
         st.lists(_small_number, max_size=7).map(", ".join),
     ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.text(max_size=10),
@@ -534,4 +636,8 @@ def test_main_fuzz_exits_0_or_2(tmp_path_factory, lines, side, population, comma
     argv = [command, "--preset", "pedestrian-4m", "--config", str(conf), "--out", str(work / "out")]
     if command == "detect":
         argv += ["--population", str(population), "--generations", "1"]
-    assert main(argv) in (0, 2)
+    code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        # rejected input is rejected before any output file is written
+        assert not [p for p in (work / "out").rglob("*") if p.is_file()]

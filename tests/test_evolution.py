@@ -22,7 +22,7 @@ from flyswarm.evolution import (
     survivor_count,
 )
 from flyswarm.imaging import Image, sobel_norm_map
-from flyswarm.stereo_geometry import project, project_many, sample_points, search_volume
+from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig, project, project_many, sample_points, search_volume
 from flyswarm.synth import Scene, TexturedRect, render_stereo_pair
 from flyswarm.warning import WarningParams
 from test_imaging import window_fitness
@@ -133,27 +133,40 @@ class TestFitness:
 
 
 class TestGradientMemo:
-    """The frame's lazily filled gradients against the full-frame
-    reference ``sobel_norm_map``, bit for bit."""
+    """The per-fly fitness kernel, which reads the gradient and the SSD
+    from one window per view, against the full-frame reference
+    ``sobel_norm_map`` and an integer SSD, bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         height=st.integers(3, 12),
         width=st.integers(3, 12),
         channels=st.sampled_from([1, 3]),
-        batches=st.integers(1, 4),
+        radius=st.integers(0, 3),
+        # right column, disparity, row; half-pixel steps hit the border and
+        # the rounding ties exactly, and the range reaches off the image
+        centres=st.lists(
+            st.tuples(
+                st.one_of(st.integers(-6, 30).map(lambda k: k / 2), st.floats(-3.0, 15.0)),
+                st.one_of(st.integers(1, 24).map(lambda k: k / 2), st.floats(0.5, 12.0)),
+                st.one_of(st.integers(-6, 30).map(lambda k: k / 2), st.floats(-3.0, 15.0)),
+            ),
+            max_size=40,
+        ),
     )
-    def test_memo_equals_reference_map(self, seed, height, width, channels, batches):
+    def test_any_centre_matches_reference_oracle(self, seed, height, width, channels, radius, centres):
         rng = np.random.default_rng(seed)
         shape = (height, width) if channels == 1 else (height, width, 3)
         left, right = (Image.from_array(rng.integers(0, 256, shape, dtype=np.uint8)) for _ in range(2))
-        frame = StereoFrame(left, right)
-        for memo, image in ((frame._left, left), (frame._right, right)):
-            reference = sobel_norm_map(image).norms.ravel()
-            # several batches, with repeats, so later reads mix memoised and new pixels
-            for _ in range(batches):
-                pixels = rng.integers(0, height * width, size=int(rng.integers(1, 2 * height * width)))
-                assert memo.at(pixels).tobytes() == reference[pixels].tobytes()
+        # focal length 100 px, baseline 1 m, principal point at the origin
+        rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), width, height), baseline_m=1.0)
+        u_right, disparity, v = np.array(centres).reshape(-1, 3).T  # no centres: no rows to score
+        z = 100.0 / disparity
+        pts = np.column_stack([(u_right + disparity) * z / 100.0 - 0.5, -v * z / 100.0, z])
+        params = EvolutionParams(neighborhood_radius=radius)
+        got = fitness_of(pts, StereoFrame(left, right), rig, params)
+        gl, gr = sobel_norm_map(left), sobel_norm_map(right)
+        assert got.tolist() == [naive_fitness(p, left, right, gl, gr, rig, params) for p in pts]
 
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_fitness_bit_identical_to_reference(self, session_rig, pedestrian_pair, radius):
@@ -182,22 +195,8 @@ class TestGradientMemo:
         pts = sample_points(session_rig, np.random.default_rng(14), 2000)
         frame = StereoFrame(*pedestrian_pair)
         first = fitness_of(pts, frame, session_rig, default_params).copy()
-        assert frame._left.known.any()
         again = fitness_of(pts, frame, session_rig, default_params)
         assert first.tobytes() == again.tobytes()
-
-    def test_fresh_frame_has_its_own_memo(self, session_rig, default_params, pedestrian_pair):
-        pts = sample_points(session_rig, np.random.default_rng(15), 2000)
-        old = StereoFrame(*pedestrian_pair)
-        fitness_of(pts, old, session_rig, default_params)
-        # same shape, other pixels: nothing computed for the old pair may be read
-        left, right = (Image.from_array(255 - s.samples) for s in pedestrian_pair)
-        fresh = StereoFrame(left, right)
-        assert not fresh._left.known.any() and not fresh._right.known.any()
-        got = fitness_of(pts, fresh, session_rig, default_params)
-        gl, gr = sobel_norm_map(left), sobel_norm_map(right)
-        expected = [naive_fitness(p, left, right, gl, gr, session_rig, default_params) for p in pts[:300]]
-        assert got[:300].tolist() == expected
 
     @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (1, 1)])
     def test_images_under_3x3_rejected(self, shape):
@@ -259,6 +258,22 @@ class TestScoreCache:
         refill()
         assert rows_scored(pop, inverted, rig=dataclasses.replace(session_rig, baseline_m=0.5)) == n
         assert rows_scored(Population(pop.positions), inverted) == n
+
+    def test_colour_frame_with_no_rows_left_to_score(self, session_rig, pedestrian_pair):
+        # selection_ratio 1 keeps every fly, so from the second generation
+        # on the same frame no row is left to score
+        params = EvolutionParams(population_size=300, selection_ratio=1.0)
+        rng = np.random.default_rng(22)
+        pop = Population.initialize(session_rig, params, rng)
+        frame = StereoFrame(*colour_pair(pedestrian_pair))
+        for _ in range(3):
+            step_generation(pop, frame, session_rig, params, rng)
+        evaluate_and_share(pop, frame, session_rig, params)
+        assert pop.scored_rows == len(pop)
+        twin = Population(pop.positions)
+        evaluate_population(twin, frame, session_rig, params)
+        assert np.count_nonzero(twin.raw_fitness) >= 50
+        assert pop.raw_fitness.tobytes() == twin.raw_fitness.tobytes()
 
 
 class TestSharing:
