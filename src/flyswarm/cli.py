@@ -13,6 +13,7 @@ stdout early ends the run with exit code 1 and no message.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import glob
 import os
 import sys
@@ -295,7 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap() -> None:
+    """Keep glibc from handing the ~2 MB of numpy temporaries of a new frame back
+    to the OS, which faults them in again every frame. A no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's maximum
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     args = build_parser().parse_args(argv)
     try:
         rc = _build_run_config(args, args.default_generations)

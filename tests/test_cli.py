@@ -1,6 +1,7 @@
 import argparse
 import io
 import os
+import platform
 import subprocess
 import sys
 import weakref
@@ -595,6 +596,48 @@ class TestStreamedSequence:
         assert len(captured.out.splitlines()) == 5  # the frames before it ran
         assert captured.err.startswith("flyswarm: error:") and captured.err.count("\n") == 1
         assert message in captured.err
+
+
+_COUNT_FAULTS = """
+import contextlib, os, resource, sys
+from flyswarm.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="the CLI tunes glibc's allocator only"
+)
+def test_new_frames_do_not_page_fault(tmp_path):
+    """Frames alternate, so every frame is new and scored in full: the heap
+    the first frames grow must serve the later ones without minor faults."""
+    for preset in ("empty-road", "pedestrian-4m"):
+        assert main(["synth", "--preset", preset, "--out", str(tmp_path / preset)]) == 0
+    src = os.path.dirname(os.path.dirname(flyswarm.__file__))
+    faults = {}
+    for n in (6, 18):
+        frames = tmp_path / f"frames{n}"
+        frames.mkdir()
+        for i in range(n):
+            scene = tmp_path / ("empty-road", "pedestrian-4m")[i % 2]
+            (frames / f"L_{i:02d}.pgm").write_bytes((scene / "left.pgm").read_bytes())
+            (frames / f"R_{i:02d}.pgm").write_bytes((scene / "right.pgm").read_bytes())
+        argv = ["sequence", "--left", str(frames / "L_*.pgm"), "--right", str(frames / "R_*.pgm")]
+        argv += ["--generations", "1", "--out", str(tmp_path / f"out{n}")]
+        # a fresh process each, so that no earlier test has grown the heap
+        child = subprocess.run(
+            [sys.executable, "-c", _COUNT_FAULTS, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        code, faults[n] = map(int, child.stdout.split())
+        assert code == 0, child.stderr
+    # 370 to 420 per frame when glibc trims the heap after each frame
+    assert (faults[18] - faults[6]) / 12 <= 20
 
 
 def test_bench_is_an_unknown_command(capsys):

@@ -132,7 +132,7 @@ class TestFitness:
         np.testing.assert_allclose(pop.raw_fitness, base, rtol=1e-12)
 
 
-class TestGradientMemo:
+class TestFitnessKernel:
     """The per-fly fitness kernel, which reads the gradient and the SSD
     from one window per view, against the full-frame reference
     ``sobel_norm_map`` and an integer SSD, bit for bit."""

@@ -6,8 +6,11 @@ across code changes. A change that alters behaviour on purpose updates
 the hashes and says why in CHANGES.md. Measured with numpy 2.4.6.
 """
 
+import ctypes
 import hashlib
 import shutil
+
+import pytest
 
 from flyswarm.cli import main
 
@@ -27,6 +30,17 @@ def test_detect_a7_run(tmp_path):
     assert main(argv + ["--out", str(out)]) == 0
     assert sha256(out / "flies.csv") == A7_FLIES
     assert sha256(out / "warning_trace.csv") == A7_TRACE
+
+
+def _no_c_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()], ids=["no-library", "no-mallopt"])
+def test_detect_a7_run_without_mallopt(tmp_path, monkeypatch, cdll):
+    # the allocator tuning is glibc only; anywhere else it does nothing
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    test_detect_a7_run(tmp_path)
 
 
 def test_sequence_empty_then_pedestrian(tmp_path):
