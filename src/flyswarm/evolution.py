@@ -32,10 +32,14 @@ central neighborhood, summed in integers. Both give the same bits as
 the full-frame ``imaging.sobel_norm_map`` and a float64 SSD, so a new
 frame costs no full-frame work.
 
-The population is stored as structure-of-arrays and every operator
+``positions`` is an (N, 3) array, one row per fly, and every operator
 works on whole arrays, so a full generation at population 5000 stays
-well inside a real-time budget. Selection partitions the shared fitness
-around the k-th largest value instead of sorting it.
+well inside a real-time budget. The operators gather rows with
+``np.take(..., axis=0)``, broadcast a per-row weight along the long
+axis (over the transpose, not as an (N, 1) column), and draw with
+numpy's own formulas off its broadcast-parameter path: same stream,
+same bits. Selection partitions the shared fitness around the k-th
+largest value instead of sorting it.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ DEFAULT_SIGMA_FRACTION = 0.001
 
 _LUMA = np.asarray(LUMA_WEIGHTS)
 
-# Flies per block of SSD windows: small integer temporaries are reused
-# from the heap instead of being faulted in afresh on every call.
+# Flies per block of SSD windows: bounds the int64 index and integer
+# difference temporaries to a block instead of the whole batch.
 _BLOCK = 1024
 
 # Serial number of each StereoFrame: a population's cached scores name the
@@ -242,13 +246,14 @@ def _sobel_norm(windows: np.ndarray, m: int, c: int) -> np.ndarray:
     k = 2 * m + 1
     stencil = (np.arange(m - 1, m + 2)[:, None] * k + np.arange(m - 1, m + 2)).ravel()
     if c == 1:
-        p = windows.T[stencil].astype(np.float64)
+        # grey sums are integers of at most 4 * 255: exact in int16
+        p = windows.T[stencil].astype(np.int16)
     else:
         rgb = windows.reshape(len(windows), k * k, c)[:, stencil].transpose(1, 0, 2)
         p = (rgb.astype(np.float64, order="C").reshape(-1, c) @ _LUMA).reshape(9, -1)
-    gx = (p[2] + 2.0 * p[5] + p[8]) - (p[0] + 2.0 * p[3] + p[6])
-    gy = (p[6] + 2.0 * p[7] + p[8]) - (p[0] + 2.0 * p[1] + p[2])
-    return np.hypot(gx, gy)
+    gx = (p[2] + 2 * p[5] + p[8]) - (p[0] + 2 * p[3] + p[6])
+    gy = (p[6] + 2 * p[7] + p[8]) - (p[0] + 2 * p[1] + p[2])
+    return np.hypot(gx, gy, dtype=np.float64)
 
 
 def apply_sharing(population: Population, rig: StereoRig, params: EvolutionParams) -> None:
@@ -300,13 +305,12 @@ def select(population: Population, params: EvolutionParams) -> np.ndarray:
 
 def crossover(parent1: np.ndarray, parent2: np.ndarray, lam) -> np.ndarray:
     """Barycentric offspring lam * p1 + (1 - lam) * p2 per parent row;
-    ``lam`` in [0, 1] is a scalar or one weight per row."""
+    ``lam`` in [0, 1] is a scalar or one weight per row, broadcast along
+    the rows' long axis."""
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim == 1:
-        lam = lam[:, None]
     if np.any((lam < 0.0) | (lam > 1.0)):
         raise ValueError("lambda must be in [0, 1]")
-    return lam * parent1 + (1.0 - lam) * parent2
+    return (lam * parent1.T + (1.0 - lam) * parent2.T).T
 
 
 def resolve_mutation_sigma(params: EvolutionParams, rig: StereoRig) -> np.ndarray:
@@ -321,13 +325,15 @@ def mutate(parents: np.ndarray, rig: StereoRig, params: EvolutionParams, rng: np
     rows that leave the volume up to MUTATION_RESAMPLE_LIMIT times, then clamp."""
     vol = search_volume(rig, params.neighborhood_radius)
     sigma = resolve_mutation_sigma(params, rig)
-    out = parents + rng.normal(0.0, sigma, size=parents.shape)
+    # rng.normal(0.0, sigma)'s own formula and draws, off its broadcast
+    # path; the 0.0 + keeps a -0.0 coordinate on a zero-sigma axis as 0.0
+    out = parents + (0.0 + sigma * rng.standard_normal(parents.shape))
     bad = ~vol.contains(out)
     for _ in range(MUTATION_RESAMPLE_LIMIT):
         if not bad.any():
             break
         idx = np.flatnonzero(bad)
-        out[idx] = parents[idx] + rng.normal(0.0, sigma, size=(idx.size, 3))
+        out[idx] = parents[idx] + (0.0 + sigma * rng.standard_normal((idx.size, 3)))
         bad[idx] = ~vol.contains(out[idx])
     if bad.any():
         out[bad] = vol.clamp(out[bad])
@@ -355,7 +361,7 @@ def select_and_refill(
     n = len(population)
     s = survivors.size
     slots = n - s
-    surv_pos = population.positions[survivors]
+    surv_pos = np.take(population.positions, survivors, axis=0)
     surv_raw = population.raw_fitness[survivors]
     surv_shared = population.shared_fitness[survivors]
     surv_pen = population.penalized[survivors]
@@ -370,9 +376,10 @@ def select_and_refill(
     if n_cross:
         i = rng.integers(0, s, size=n_cross)
         j = (i + 1 + rng.integers(0, s - 1, size=n_cross)) % s  # uniform over the others
-        children[:n_cross] = crossover(surv_pos[i], surv_pos[j], rng.random(n_cross))
+        p1, p2 = np.take(surv_pos, i, axis=0), np.take(surv_pos, j, axis=0)
+        children[:n_cross] = crossover(p1, p2, rng.random(n_cross))
     if n_mut:
-        parents = surv_pos[rng.integers(0, s, size=n_mut)]
+        parents = np.take(surv_pos, rng.integers(0, s, size=n_mut), axis=0)
         children[n_cross : n_cross + n_mut] = mutate(parents, rig, params, rng)
     if n_imm:
         children[n_cross + n_mut :] = sample_points(rig, rng, n_imm, margin=params.neighborhood_radius)

@@ -44,7 +44,9 @@ class CameraIntrinsics:
     image_height: int
 
     def __post_init__(self):
-        u0, v0 = self.principal_point
+        # a tuple keeps the rig hashable and equal to one built from a list
+        u0, v0 = map(float, self.principal_point)
+        object.__setattr__(self, "principal_point", (u0, v0))
         if self.focal_length_px <= 0:
             raise ValueError(f"focal_length_px must be > 0, got {self.focal_length_px}")
         if self.image_width < 1 or self.image_height < 1:
@@ -180,6 +182,10 @@ class SearchVolume:
                 "fields of view do not intersect at z_min_m "
                 f"(need z_min >= {f * rig.baseline_m / (K.image_width - 1 - 2 * margin):.3f} m)"
             )
+        # the widest slice is at z_max; read-only, as the volume is shared
+        (x_lo, x_hi), (y_lo, y_hi) = self.x_bounds(rig.z_max_m), self.y_bounds(rig.z_max_m)
+        self._box = np.array([[x_lo, y_lo, rig.z_min_m], [x_hi, y_hi, rig.z_max_m]])
+        self._box.flags.writeable = False
 
     def x_bounds(self, z):
         z = np.asarray(z, dtype=np.float64)
@@ -190,13 +196,8 @@ class SearchVolume:
         return z * self._y_lo_slope, z * self._y_hi_slope
 
     def bounding_box(self):
-        """Axis-aligned box enclosing the volume (widest slice is at z_max)."""
-        z_max = self.rig.z_max_m
-        x_lo, x_hi = self.x_bounds(z_max)
-        y_lo, y_hi = self.y_bounds(z_max)
-        lo = np.array([x_lo, y_lo, self.rig.z_min_m])
-        hi = np.array([x_hi, y_hi, self.rig.z_max_m])
-        return lo, hi
+        """Axis-aligned (lo, hi) corners enclosing the volume, read-only."""
+        return self._box[0], self._box[1]
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -230,8 +231,17 @@ class SearchVolume:
         return a * c * (z1**3 - z0**3) / 3.0 - b * c * (z1**2 - z0**2) / 2.0
 
 
+_last_volume: SearchVolume | None = None
+
+
 def search_volume(rig: StereoRig, margin: int = DEFAULT_MARGIN_PX) -> SearchVolume:
-    return SearchVolume(rig, margin)
+    """The volume of ``(rig, margin)``; the last one built is reused while
+    the rig compares equal, so a generation builds none."""
+    global _last_volume
+    vol = _last_volume
+    if vol is None or vol.margin != margin or vol.rig != rig:
+        vol = _last_volume = SearchVolume(rig, margin)
+    return vol
 
 
 def sample_points(
@@ -248,7 +258,8 @@ def sample_points(
     filled = 0
     while filled < count:
         n_draw = max(256, int((count - filled) * 3.2))
-        cand = rng.uniform(lo, hi, size=(n_draw, 3))
+        # rng.uniform(lo, hi)'s own formula and draws, off its broadcast path
+        cand = lo + (hi - lo) * rng.random((n_draw, 3))
         kept = cand[vol.contains(cand)]
         take = min(kept.shape[0], count - filled)
         out[filled : filled + take] = kept[:take]

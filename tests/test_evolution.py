@@ -428,6 +428,16 @@ class TestCrossover:
         for k in range(40):
             assert np.array_equal(got[k], crossover(p1[k], p2[k], lam[k]))
 
+    def test_per_row_weights_match_column_formula(self):
+        # the weights broadcast along the long axis; the bits are those of
+        # an (N, 1) weight column
+        rng = np.random.default_rng(13)
+        p1 = rng.uniform(-5, 5, size=(1500, 3))
+        p2 = rng.uniform(-5, 5, size=(1500, 3))
+        lam = rng.random(1500)
+        want = lam[:, None] * p1 + (1 - lam[:, None]) * p2
+        assert crossover(p1, p2, lam).tobytes() == want.tobytes()
+
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError):
             crossover(np.zeros(3), np.ones(3), 1.2)
@@ -448,7 +458,47 @@ class TestCrossover:
         assert np.all(child >= lo) and np.all(child <= hi)
 
 
+def reference_mutate(parents, vol, sigma, rng):
+    """``mutate`` written with ``rng.normal``; also returns how many first
+    draws left the volume and how many rows were clamped."""
+    out = parents + rng.normal(0.0, sigma, size=parents.shape)
+    bad = ~vol.contains(out)
+    first_bad = int(bad.sum())
+    for _ in range(evolution.MUTATION_RESAMPLE_LIMIT):
+        if not bad.any():
+            break
+        idx = np.flatnonzero(bad)
+        out[idx] = parents[idx] + rng.normal(0.0, sigma, size=(idx.size, 3))
+        bad[idx] = ~vol.contains(out[idx])
+    if bad.any():
+        out[bad] = vol.clamp(out[bad])
+    return out, first_bad, int(bad.sum())
+
+
 class TestMutate:
+    def _check_against_reference(self, rig, parents, sigma, seed):
+        params = EvolutionParams(mutation_sigma=sigma)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mutate(parents, rig, params, rng)
+        want, first_bad, clamped = reference_mutate(parents, search_volume(rig, params.neighborhood_radius), np.asarray(sigma), twin)
+        # tobytes tells -0.0 from 0.0, which array_equal does not
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == twin.random()
+        return got, first_bad, clamped
+
+    def test_resampled_and_clamped_rows_match_normal(self, default_rig):
+        # parents on the near face, sigma 2 m: most first draws leave the
+        # volume, some rows are clamped; the zero-sigma x axis of a -0.0
+        # coordinate must stay 0.0, as rng.normal(0.0, 0.0) makes it
+        parents = np.tile([-0.0, 0.0, default_rig.z_min_m], (500, 1))
+        _, first_bad, clamped = self._check_against_reference(default_rig, parents, (0.0, 2.0, 2.0), seed=14)
+        assert first_bad > 300 and clamped > 0
+
+    def test_zero_sigma_axis_of_negative_zero(self, default_rig):
+        parents = np.tile([-0.0, 0.5, 8.0], (200, 1))
+        got, first_bad, _ = self._check_against_reference(default_rig, parents, (0.0, 0.01, 0.01), seed=15)
+        assert first_bad == 0 and not np.signbit(got[:, 0]).any()
+
     def test_zero_sigma_is_identity(self, default_rig):
         params = EvolutionParams(mutation_sigma=(0.0, 0.0, 0.0))
         rng = np.random.default_rng(8)

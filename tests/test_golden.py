@@ -1,8 +1,9 @@
 """Golden outputs: a refactor must leave these bytes unchanged.
 
 A7 only shows that two runs of the same code agree. These hashes pin the
-outputs of a fixed-seed ``detect`` (A7's run) and a short ``sequence``
-across code changes. A change that alters behaviour on purpose updates
+outputs of a fixed-seed ``detect`` (A7's run), a ``detect`` on a colour
+pair with a mutation sigma wide enough that mutation resamples and
+clamps, and a short ``sequence`` across code changes. A change that alters behaviour on purpose updates
 the hashes and says why in CHANGES.md. Measured with numpy 2.4.6.
 """
 
@@ -13,9 +14,14 @@ import shutil
 import pytest
 
 from flyswarm.cli import main
+from flyswarm.imaging import read_pnm, write_pnm
+from test_evolution import colour_pair
 
 A7_FLIES = "7e0f1c2e420450a8022e0cbb2907ad5c7bd7d7b71798a2dd9d53853e288709a0"
 A7_TRACE = "285c0cc603d410e4f1648ea076b23746cd3df11e0073de3c187e7b32b7c3ebbd"
+COLOUR_FLIES = "845b408a36526055531c9b196ebf83d624bc847ffd5d3fcda127a966382aa20b"
+COLOUR_TRACE = "fb00bb4e2b1beef5cd97d620ce532ba7e072c448bc4c52589dea18403aca24c0"
+COLOUR_OVERLAY = "1de15adc5eabddd9674bbaa551fd35932c4f488ea13bd1bab7a285e18027778c"
 SEQUENCE_FLIES = "494a34134669945b08538bc1bee2c61ed0cd7ea9ec4133947498f477af372d22"
 SEQUENCE_TRACE = "b075adb10ea63205b10e1b0972000a27be87dfaba3638f6f32f3a9900e38b9d7"
 
@@ -41,6 +47,23 @@ def test_detect_a7_run_without_mallopt(tmp_path, monkeypatch, cdll):
     # the allocator tuning is glibc only; anywhere else it does nothing
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     test_detect_a7_run(tmp_path)
+
+
+def test_detect_colour_wide_mutation(tmp_path):
+    # a colour pair takes the colour Sobel branch, and a sigma of metres
+    # sends mutants out of the volume, so they are redrawn and clamped
+    assert main(["synth", "--preset", "pedestrian-4m", "--out", str(tmp_path / "grey")]) == 0
+    grey = (read_pnm(tmp_path / "grey" / "left.pgm"), read_pnm(tmp_path / "grey" / "right.pgm"))
+    for name, image in zip(("left.ppm", "right.ppm"), colour_pair(grey)):
+        write_pnm(tmp_path / name, image)
+    (tmp_path / "wide.cfg").write_text("mutation_sigma = 1.0, 1.0, 2.0\n", encoding="utf-8")
+    out = tmp_path / "colour"
+    argv = ["detect", "--left", str(tmp_path / "left.ppm"), "--right", str(tmp_path / "right.ppm")]
+    argv += ["--config", str(tmp_path / "wide.cfg"), "--seed", "5", "--population", "1500", "--generations", "25"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sha256(out / "flies.csv") == COLOUR_FLIES
+    assert sha256(out / "warning_trace.csv") == COLOUR_TRACE
+    assert sha256(out / "overlay_left.ppm") == COLOUR_OVERLAY
 
 
 def test_sequence_empty_then_pedestrian(tmp_path):

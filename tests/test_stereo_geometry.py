@@ -72,6 +72,15 @@ def test_disparity_depth_product(x, y, z):
     assert disparity * z == pytest.approx(fb, rel=1e-9)
 
 
+def test_list_principal_point_keeps_rig_hashable():
+    # a list used to stay a list: the rig could not be hashed and compared
+    # unequal to the same rig built from a tuple
+    from_list = StereoRig(CameraIntrinsics(500.0, [320, 240], 640, 480), baseline_m=0.4)
+    from_tuple = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), 640, 480), baseline_m=0.4)
+    assert from_list.intrinsics.principal_point == (320.0, 240.0)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
+
 def test_rig_validation():
     K = CameraIntrinsics(500.0, (320.0, 240.0), 640, 480)
     with pytest.raises(ValueError):
@@ -143,6 +152,16 @@ class TestSearchVolume:
         numeric = np.trapezoid(areas, zs) if hasattr(np, "trapezoid") else np.trapz(areas, zs)
         assert vol.volume_m3() == pytest.approx(numeric, rel=1e-6)
 
+    def test_reused_while_the_rig_is_equal(self, default_rig):
+        vol = search_volume(default_rig)
+        twin = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), 640, 480), baseline_m=0.4)
+        assert search_volume(twin) is vol
+        assert search_volume(default_rig, margin=3).margin == 3
+        wider = search_volume(StereoRig(twin.intrinsics, baseline_m=0.5))
+        assert wider.bounding_box()[0][0] != vol.bounding_box()[0][0]
+        with pytest.raises(ValueError):
+            vol.bounding_box()[0][0] = 0.0  # shared, so read-only
+
     def test_too_small_image_rejected(self):
         K = CameraIntrinsics(50.0, (2.0, 2.0), 5, 5)
         rig = StereoRig(K, baseline_m=0.4)
@@ -176,6 +195,19 @@ class TestSampling:
         draws = rng.uniform(lo, hi, size=(200_000, 3))
         measured = vol.contains(draws).mean()
         assert measured == pytest.approx(expected, abs=0.02)
+
+    def test_draws_match_uniform(self, default_rig):
+        # the same draws and bits as rng.uniform(lo, hi) in the rejection loop
+        rng, twin = np.random.default_rng(16), np.random.default_rng(16)
+        got = sample_points(default_rig, rng, 700)
+        vol = search_volume(default_rig)
+        lo, hi = vol.bounding_box()
+        kept = np.empty((0, 3))
+        while len(kept) < 700:
+            cand = twin.uniform(lo, hi, size=(max(256, int((700 - len(kept)) * 3.2)), 3))
+            kept = np.concatenate([kept, cand[vol.contains(cand)]])
+        assert got.tobytes() == kept[:700].tobytes()
+        assert rng.random() == twin.random()
 
     def test_seeded_draws_reproducible(self, default_rig):
         a = sample_points(default_rig, np.random.default_rng(42), 500)
