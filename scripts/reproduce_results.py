@@ -15,23 +15,20 @@ import numpy as np
 
 from flyswarm.cli import main as flyswarm_main
 from flyswarm.config import rig_from_config
-from flyswarm.evolution import EvolutionParams, Population, StereoFrame, step_generation
+from flyswarm.evolution import EvolutionParams, Swarm
 from flyswarm.synth import preset_scene, render_stereo_pair
-from flyswarm.warning import WarningParams
 
 
-def steady_state(frame, rig, params, wp, seed, generations=120):
-    rng = np.random.default_rng(seed)
-    pop = Population.initialize(rig, params, rng)
-    trace = [step_generation(pop, frame, rig, params, rng, wp).global_mean for _ in range(generations)]
-    return np.array(trace), pop
+def swarm_on(pair, rig, params) -> Swarm:
+    swarm = Swarm(rig, params)
+    swarm.feed(*pair)
+    return swarm
 
 
 def run(out_dir: Path, seed: int, generations: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     rig = rig_from_config({})
     params = EvolutionParams(rng_seed=seed)
-    wp = WarningParams()
 
     print("== rendering presets ==")
     for preset in ("empty-road", "pedestrian-4m"):
@@ -39,15 +36,13 @@ def run(out_dir: Path, seed: int, generations: int) -> None:
         assert code == 0
         print(f"rendered {preset} -> {out_dir / preset}")
 
-    frames = {
-        name: StereoFrame(*render_stereo_pair(preset_scene(name, rig), rig))
-        for name in ("empty-road", "pedestrian-4m")
-    }
+    pairs = {name: render_stereo_pair(preset_scene(name, rig), rig) for name in ("empty-road", "pedestrian-4m")}
 
     print("\n== steady-state global warnings ==")
     means = {}
-    for name, frame in frames.items():
-        trace, pop = steady_state(frame, rig, params, wp, seed, generations)
+    for name, pair in pairs.items():
+        swarm = swarm_on(pair, rig, params)
+        trace = np.array([swarm.step().global_mean for _ in range(generations)])
         means[name] = trace[-30:].mean()
         np.savetxt(out_dir / f"trace_{name}.csv", np.column_stack([np.arange(1, trace.size + 1), trace]),
                    delimiter=",", header="generation,global_warning", comments="")
@@ -56,27 +51,26 @@ def run(out_dir: Path, seed: int, generations: int) -> None:
     print(f"discrimination ratio: {ratio:.1f}")
 
     print("\n== reaction to a scene switch ==")
-    rng = np.random.default_rng(seed)
-    pop = Population.initialize(rig, params, rng)
+    swarm = swarm_on(pairs["empty-road"], rig, params)
     for _ in range(40):
-        step_generation(pop, frames["empty-road"], rig, params, rng, wp)
+        swarm.step()
+    swarm.feed(*pairs["pedestrian-4m"])
     midpoint = (means["pedestrian-4m"] + means["empty-road"]) / 2
     reaction = None
     for g in range(1, 61):
-        w = step_generation(pop, frames["pedestrian-4m"], rig, params, rng, wp).global_mean
+        w = swarm.step().global_mean
         if reaction is None and w > midpoint:
             reaction = g
     print(f"crossed the presets' midpoint {midpoint:.1f} after {reaction} generations")
 
     print("\n== per-generation latency (population 5000, 640x480) ==")
-    rng = np.random.default_rng(seed)
-    pop = Population.initialize(rig, params, rng)
+    swarm = swarm_on(pairs["pedestrian-4m"], rig, params)
     for _ in range(3):
-        step_generation(pop, frames["pedestrian-4m"], rig, params, rng, wp)
+        swarm.step()
     t0 = time.perf_counter()
     n = 50
     for _ in range(n):
-        step_generation(pop, frames["pedestrian-4m"], rig, params, rng, wp)
+        swarm.step()
     print(f"mean {1e3 * (time.perf_counter() - t0) / n:.2f} ms/generation")
 
 

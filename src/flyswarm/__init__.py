@@ -10,24 +10,15 @@ from .evolution import (
     EvolutionParams,
     Population,
     StereoFrame,
+    Swarm,
     apply_sharing,
     crossover,
-    evaluate_and_share,
     evaluate_population,
     mutate,
     select,
-    step_generation,
 )
-from .imaging import GradientMap, Image, PnmParseError, load_pnm, read_pnm, save_pnm, sobel_norm_map, write_pnm
-from .stereo_geometry import (
-    CameraIntrinsics,
-    Projection,
-    SearchVolume,
-    StereoRig,
-    project,
-    sample_points,
-    search_volume,
-)
+from .imaging import Image, PnmParseError, load_pnm, read_pnm, save_pnm, write_pnm
+from .stereo_geometry import CameraIntrinsics, SearchVolume, StereoRig, sample_points, search_volume
 from .synth import Scene, TexturedRect, ground_truth_depth, preset_scene, render_stereo_pair
 from .warning import WarningParams, WarningReport, global_warning, top_k, warning_values
 

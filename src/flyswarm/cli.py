@@ -2,8 +2,8 @@
 
 detect/sequence print one `generation,global_warning` CSV line per
 generation to stdout, then the final global warning on its own line.
-Every generation runs through ``evolution.step_generation``; ``sequence``
-decodes each pair only when the loop reaches it. All outputs are
+Both run one ``evolution.Swarm`` over their pairs; ``sequence`` decodes
+each pair only when the run reaches it. All outputs are
 deterministic for a fixed seed. Rejected input (flag and config values,
 unknown config keys, PNM bytes, sizes too large to allocate) ends in
 exit code 2 and a one-line message on stderr. A reader that closes
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evolution
 from .config import (
     ConfigError,
     KeyLog,
@@ -35,11 +34,11 @@ from .config import (
     scene_from_config,
     warning_params_from_config,
 )
-from .evolution import EvolutionParams, Population, StereoFrame
+from .evolution import EvolutionParams, Population, Swarm
 from .imaging import Image, read_pnm, write_pnm
 from .stereo_geometry import StereoRig, project_many
 from .synth import PRESET_NAMES, Scene, preset_scene, render_stereo_pair
-from .warning import WarningParams, top_k
+from .warning import WarningParams, WarningReport, top_k
 
 MARKER_RGB = (255, 0, 0)
 
@@ -199,45 +198,38 @@ def cmd_synth(rc: RunConfig) -> int:
     return 0
 
 
-def _run_loop(rc: RunConfig, frames: Iterable[tuple[Image, Image]], budget: int):
-    """Shared detect/sequence loop; returns (population, trace, final report).
+def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, WarningReport]:
+    """Shared detect/sequence run: ``rc.generations`` generations per pair,
+    one warning line each, then the trace and flies files. Returns the swarm
+    and the report of its final evaluation.
 
     ``frames`` is consumed one pair at a time, so a lazy iterable keeps at
     most the frame in use and the pair being decoded in memory.
     """
-    rng = np.random.default_rng(rc.evo.rng_seed)
-    pop = Population.initialize(rc.rig, rc.evo, rng)
+    rc.out_dir.mkdir(parents=True, exist_ok=True)
+    swarm = Swarm(rc.rig, rc.evo, rc.warn)
     trace: list[tuple[int, float]] = []
-    generation = 0
-    frame = None
     for left, right in frames:
-        # keep the frame while the pixels repeat, so the survivors' scores stay valid
-        if frame is None or not (
-            np.array_equal(left.samples, frame.left.samples)
-            and np.array_equal(right.samples, frame.right.samples)
-        ):
-            frame = StereoFrame(left, right)
+        swarm.feed(left, right)
         del left, right  # the frame holds what it needs; free the pair before the next decode
-        for _ in range(budget):
-            report = evolution.step_generation(pop, frame, rc.rig, rc.evo, rng, rc.warn)
-            generation += 1
-            trace.append((generation, report.global_mean))
-            print(f"{generation},{_format_float(report.global_mean)}")
+        for _ in range(rc.generations):
+            report = swarm.step()
+            trace.append((len(trace) + 1, report.global_mean))
+            print(f"{len(trace)},{_format_float(report.global_mean)}")
     # refresh fitness of the post-refill population so the emitted state
     # is fully evaluated against the last frame
-    final = evolution.evaluate_and_share(pop, frame, rc.rig, rc.evo, rc.warn)
-    return pop, trace, final
+    final = swarm.evaluate()
+    write_trace_csv(rc.out_dir / "warning_trace.csv", trace)
+    if rc.emit_flies:
+        write_flies_csv(rc.out_dir / "flies.csv", swarm.population, final.per_fly)
+    return swarm, final
 
 
 def cmd_detect(rc: RunConfig) -> int:
     left, right = _load_pair(rc)
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    pop, trace, final = _run_loop(rc, [(left, right)], rc.generations)
-    write_trace_csv(rc.out_dir / "warning_trace.csv", trace)
-    if rc.emit_flies:
-        write_flies_csv(rc.out_dir / "flies.csv", pop, final.per_fly)
+    swarm, final = _run(rc, [(left, right)])
     if rc.emit_overlays:
-        write_overlays(rc, left, right, pop)
+        write_overlays(rc, left, right, swarm.population)
     print(_format_float(final.global_mean))
     return 0
 
@@ -249,11 +241,7 @@ def cmd_sequence(rc: RunConfig) -> int:
     rights = _expand_pattern(rc.right)
     if len(lefts) != len(rights):
         raise ConfigError(f"mismatched pair counts: {len(lefts)} left vs {len(rights)} right")
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    pop, trace, final = _run_loop(rc, _read_pairs(rc.rig, lefts, rights), rc.generations)
-    write_trace_csv(rc.out_dir / "warning_trace.csv", trace)
-    if rc.emit_flies:
-        write_flies_csv(rc.out_dir / "flies.csv", pop, final.per_fly)
+    _, final = _run(rc, _read_pairs(rc.rig, lefts, rights))
     print(_format_float(final.global_mean))
     return 0
 

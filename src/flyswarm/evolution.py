@@ -1,7 +1,10 @@
 """Parisian evolutionary core.
 
 Each individual ("fly") is a single 3-D point; the population as a whole
-is the scene description. One generation, in order:
+is the scene description. A ``Swarm`` is that population evolving over a
+stream of stereo pairs: ``feed`` hands it a pair, ``step`` runs one
+generation and ``evaluate`` scores the final population. One generation,
+in order:
 
 1. evaluate the raw fitness of every fly against the current frame
    (survivors of the last selection keep theirs while the frame, rig,
@@ -11,11 +14,7 @@ is the scene description. One generation, in order:
 4. keep the best ``selection_ratio`` of the population (elitist,
    deterministic, ties to the lower index),
 5. refill the vacated slots with barycentric crossover, Gaussian
-   mutation and fresh immigrants,
-6. increment the generation counter.
-
-``step_generation`` is the only generation body and returns the warning
-report; ``evaluate_and_share`` re-evaluates the final population.
+   mutation and fresh immigrants.
 
 The fitness of a fly is the product of the Sobel gradient norms at its
 two projections divided by the (epsilon-shifted) sum of squared
@@ -29,8 +28,8 @@ does the code: a ``StereoFrame`` holds the two uint8 images, and each
 new fly gathers one uint8 window per view around its projection. The
 Sobel norm comes from the window's central 3x3 and the SSD from its
 central neighborhood, summed in integers. Both give the same bits as
-the full-frame ``imaging.sobel_norm_map`` and a float64 SSD, so a new
-frame costs no full-frame work.
+a full-frame Sobel map and a float64 SSD, so a new frame costs no
+full-frame work.
 
 ``positions`` is an (N, 3) array, one row per fly, and every operator
 works on whole arrays, so a full generation at population 5000 stays
@@ -135,7 +134,7 @@ class Population:
     builds a new ``Population``.
     """
 
-    def __init__(self, positions: np.ndarray, generation_index: int = 0):
+    def __init__(self, positions: np.ndarray):
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {positions.shape}")
@@ -144,7 +143,6 @@ class Population:
         self.raw_fitness = np.zeros(n, dtype=np.float64)
         self.shared_fitness = np.zeros(n, dtype=np.float64)
         self.penalized = np.zeros(n, dtype=bool)
-        self.generation_index = generation_index
         self.score_key = None
         self.scored_rows = 0
 
@@ -237,7 +235,7 @@ def _raw_fitness(positions: np.ndarray, frame: StereoFrame, rig: StereoRig, para
 def _sobel_norm(windows: np.ndarray, m: int, c: int) -> np.ndarray:
     """Sobel norm of the luminance at the centre of each (2m+1)^2 window.
 
-    Bit-identical to ``imaging.sobel_norm_map`` at that pixel: the same
+    Bit-identical to a full-frame Sobel norm map at that pixel: the same
     luminance (``LUMA_WEIGHTS`` applied with ``@`` to a C-contiguous
     float64 array of pixel rows), the same sums and ``np.hypot``. The
     stencil is laid out one row per position, so each sum runs over
@@ -356,7 +354,7 @@ def _offspring_counts(params: EvolutionParams, slots: int) -> tuple[int, int, in
 def select_and_refill(
     population: Population, rig: StereoRig, params: EvolutionParams, rng: np.random.Generator
 ) -> None:
-    """Selection plus offspring phases; bumps the generation counter."""
+    """Selection plus offspring phases."""
     survivors = select(population, params)
     n = len(population)
     s = survivors.size
@@ -392,39 +390,44 @@ def select_and_refill(
     population.shared_fitness[s:] = 0.0
     population.penalized[:s] = surv_pen
     population.penalized[s:] = False
-    population.generation_index += 1
     # survivors ascend, so those taken from scored rows lead and now fill
     # rows [:count]; their raw fitness is still the cached score
     population.scored_rows = int(np.searchsorted(survivors, population.scored_rows))
 
 
-def evaluate_and_share(
-    population: Population,
-    frame: StereoFrame,
-    rig: StereoRig,
-    params: EvolutionParams,
-    warning_params: WarningParams | None = None,
-) -> WarningReport:
-    """Evaluation phase: raw fitness, penalization flags, sharing; returns
-    the warning report of the evaluated population."""
-    wp = warning_params if warning_params is not None else WarningParams()
-    evaluate_population(population, frame, rig, params)
-    flag_useless(population, rig, wp)
-    apply_sharing(population, rig, params)
-    return global_warning(population, wp)
+class Swarm:
+    """One population evolving over a stream of stereo pairs.
 
+    The rng is seeded from ``params.rng_seed`` and draws the initial
+    population, then every offspring, so a fixed seed fixes the run.
+    """
 
-def step_generation(
-    population: Population,
-    frame: StereoFrame,
-    rig: StereoRig,
-    params: EvolutionParams,
-    rng: np.random.Generator,
-    warning_params: WarningParams | None = None,
-) -> WarningReport:
-    """One full generation against the given frame. Size-preserving and
-    deterministic for a fixed seed. Returns the warning report of the
-    population as evaluated, before selection and refill."""
-    report = evaluate_and_share(population, frame, rig, params, warning_params)
-    select_and_refill(population, rig, params, rng)
-    return report
+    def __init__(self, rig: StereoRig, params: EvolutionParams, warning_params: WarningParams = WarningParams()):
+        self.rig, self.params, self.warning_params = rig, params, warning_params
+        self.rng = np.random.default_rng(params.rng_seed)
+        self.population = Population.initialize(rig, params, self.rng)
+        self.frame: StereoFrame | None = None
+
+    def feed(self, left: Image, right: Image) -> None:
+        """Make the pair the current frame. A pair with the pixels of the
+        current frame keeps it, so the survivors' scores stay valid."""
+        frame = self.frame
+        if frame is None or not (
+            np.array_equal(left.samples, frame.left.samples) and np.array_equal(right.samples, frame.right.samples)
+        ):
+            self.frame = StereoFrame(left, right)
+
+    def evaluate(self) -> WarningReport:
+        """Raw fitness, penalization flags and sharing on the current frame;
+        returns the warning report of the evaluated population."""
+        evaluate_population(self.population, self.frame, self.rig, self.params)
+        flag_useless(self.population, self.rig, self.warning_params)
+        apply_sharing(self.population, self.rig, self.params)
+        return global_warning(self.population, self.warning_params)
+
+    def step(self) -> WarningReport:
+        """One generation on the current frame: the warning report of the
+        population as evaluated, then selection and refill."""
+        report = self.evaluate()
+        select_and_refill(self.population, self.rig, self.params, self.rng)
+        return report

@@ -1,13 +1,9 @@
-"""Intensity rasters, binary PNM I/O and the full-frame Sobel norm map.
+"""Intensity rasters and binary PNM I/O.
 
 Images are stored as C-contiguous uint8 numpy arrays, (H, W) for grey
 and (H, W, 3) for colour, and are treated as immutable once constructed;
 a decoded image enforces it, as a read-only view over the file's bytes. Pixel
 coordinates follow the (column, row) convention of stereo_geometry.
-
-``sobel_norm_map`` is the reference for the gradients the fitness reads:
-``evolution.evaluate_population`` computes them only at the pixels flies
-project onto, and the tests check the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +36,9 @@ class Image:
             raise ValueError(f"samples must be uint8, got {self.samples.dtype}")
         if self.samples.shape != expected:
             raise ValueError(f"samples shape {self.samples.shape} does not match {expected}")
-        # strided samples take numpy's non-BLAS matmul in luminance(), whose
-        # last bit differs from the C-order result the fitness path computes
+        # the fitness gathers each fly's windows from a flat view of the
+        # samples, which strided samples would turn into a full-frame copy
+        # on every evaluation
         if not self.samples.flags.c_contiguous:
             raise ValueError("samples must be C-contiguous; build the image with Image.from_array")
 
@@ -58,20 +55,6 @@ class Image:
         if a.ndim == 3 and a.shape[2] == 3:
             return cls(a.shape[1], a.shape[0], 3, a)
         raise ValueError(f"expected (H, W) or (H, W, 3) array, got shape {a.shape}")
-
-    def luminance(self) -> np.ndarray:
-        """Float64 luminance plane; identity for grey images."""
-        if self.channels == 1:
-            return self.samples.astype(np.float64)
-        w = np.asarray(LUMA_WEIGHTS)
-        return self.samples.astype(np.float64) @ w
-
-
-@dataclass(eq=False)
-class GradientMap:
-    width: int
-    height: int
-    norms: np.ndarray  # float64 (H, W), >= 0, zero on the 1 px border
 
 
 def _next_token(data: bytes, pos: int):
@@ -144,21 +127,3 @@ def read_pnm(path) -> Image:
 def write_pnm(path, image: Image) -> None:
     with open(path, "wb") as fh:
         fh.write(save_pnm(image))
-
-
-def sobel_norm_map(image: Image) -> GradientMap:
-    """Euclidean Sobel gradient norm of the luminance plane.
-
-    Border pixels are set to 0. The fitness path does not call this; it
-    is the reference that the per-fly gradients of
-    ``evolution.evaluate_population`` are tested against.
-    """
-    if image.width < 3 or image.height < 3:
-        raise ValueError(f"image must be at least 3x3, got {image.width}x{image.height}")
-    p = image.luminance()
-    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
-    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
-    norms = np.zeros((image.height, image.width), dtype=np.float64)
-    norms[1:-1, 1:-1] = np.hypot(gx, gy)
-    return GradientMap(image.width, image.height, norms)
-

@@ -1,4 +1,4 @@
-"""Rectified pinhole stereo rig: projections and the fly search volume.
+"""Rectified pinhole stereo rig: batch projections and the fly search volume.
 
 World frame convention (used everywhere in this package): origin at the
 midpoint between the two optical centres, x lateral (positive toward the
@@ -76,43 +76,6 @@ class StereoRig:
             raise ValueError(f"need 0 < z_min_m < z_max_m, got {self.z_min_m}, {self.z_max_m}")
 
 
-@dataclass(frozen=True)
-class Projection:
-    """Left/right real-valued pixel coordinates of one world point."""
-
-    left_px: tuple[float, float]
-    right_px: tuple[float, float]
-    visible: bool
-
-
-def project(rig: StereoRig, point, margin: int = DEFAULT_MARGIN_PX) -> Projection:
-    """Project a world point into both images.
-
-    ``visible`` is true iff the point is in front of the cameras and its
-    projection, padded by ``margin`` pixels, lies inside both images.
-    Raises ValueError for non-finite coordinates.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ValueError(f"point must be 3 finite coordinates, got {point!r}")
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
-    K = rig.intrinsics
-    f = K.focal_length_px
-    u0, v0 = K.principal_point
-    zc = max(z, Z_FLOOR_M)
-    half_b = 0.5 * rig.baseline_m
-    u_left = u0 + f * (x + half_b) / zc
-    u_right = u0 + f * (x - half_b) / zc
-    v = v0 - f * y / zc
-    visible = (
-        z >= Z_FLOOR_M
-        and margin <= u_left <= K.image_width - 1 - margin
-        and margin <= u_right <= K.image_width - 1 - margin
-        and margin <= v <= K.image_height - 1 - margin
-    )
-    return Projection((u_left, v), (u_right, v), visible)
-
-
 def project_many(rig: StereoRig, points: np.ndarray):
     """Vectorized projection. Returns (u_left, u_right, v) float arrays.
 
@@ -135,7 +98,9 @@ def project_many(rig: StereoRig, points: np.ndarray):
 
 
 def visible_many(rig: StereoRig, u_left, u_right, v, z, margin: int = DEFAULT_MARGIN_PX):
-    """Visibility mask matching :func:`project`'s margin rule."""
+    """True where a point is in front of the cameras (z at or above the
+    depth floor) and its projection, padded by ``margin`` pixels, lies
+    inside both images."""
     K = rig.intrinsics
     u_hi = K.image_width - 1 - margin
     v_hi = K.image_height - 1 - margin
@@ -159,8 +124,8 @@ class SearchVolume:
         y_hi(z) = z * (v0 - margin) / f
 
     These are the exact algebraic inverses of the visibility rule of
-    :func:`project`, so membership here coincides with
-    ``project(rig, p).visible and z_min <= z <= z_max``.
+    :func:`visible_many`, so membership here coincides with that rule
+    plus ``z_min <= z <= z_max``.
     """
 
     def __init__(self, rig: StereoRig, margin: int = DEFAULT_MARGIN_PX):
@@ -220,15 +185,6 @@ class SearchVolume:
         pts[:, 1] = np.clip(pts[:, 1], y_lo, y_hi)
         pts[:, 2] = z
         return pts
-
-    def volume_m3(self) -> float:
-        """Exact volume by integrating the per-depth slice area."""
-        # (x_hi - x_lo)(y_hi - y_lo) = (a*z - b)(c*z), integrate over [z_min, z_max]
-        a = self._x_hi_slope - self._x_lo_slope
-        b = 2.0 * self._half_b
-        c = self._y_hi_slope - self._y_lo_slope
-        z0, z1 = self.rig.z_min_m, self.rig.z_max_m
-        return a * c * (z1**3 - z0**3) / 3.0 - b * c * (z1**2 - z0**2) / 2.0
 
 
 _last_volume: SearchVolume | None = None

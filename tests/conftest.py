@@ -2,7 +2,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from flyswarm.evolution import EvolutionParams, StereoFrame
+from flyswarm.evolution import EvolutionParams, Population, StereoFrame, evaluate_population
+from flyswarm.imaging import Image
 from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig
 from flyswarm.synth import preset_scene, render_stereo_pair
 
@@ -71,3 +72,31 @@ def pedestrian_frame(pedestrian_pair):
 @pytest.fixture
 def default_params() -> EvolutionParams:
     return EvolutionParams()
+
+
+def colour_pair(pair):
+    """A colour version of a grey pair; one channel mix applied to both
+    views keeps the pair photo-consistent."""
+    return tuple(
+        Image.from_array(np.stack([s, 255 - s, (s.astype(np.uint16) * 3 % 256).astype(np.uint8)], axis=2))
+        for s in (pair[0].samples, pair[1].samples)
+    )
+
+
+def window_fitness(left: Image, right: Image, centres, radius: int, epsilon: float = 1.0) -> np.ndarray:
+    """Batch fitness of one fly per ((x_left, y), (x_right, y)) centre pair.
+
+    A rig with focal length 100 px, baseline 1 m and the principal point
+    at the origin puts a fly at depth 100 / (x_left - x_right) onto
+    exactly those pixels.
+    """
+    rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), left.width, left.height), baseline_m=1.0)
+    positions = []
+    for (xl, y), (xr, yr) in centres:
+        assert y == yr and xl > xr  # rectified rig: same row, positive disparity
+        z = 100.0 / (xl - xr)
+        positions.append((xl * z / 100.0 - 0.5, -y * z / 100.0, z))
+    pop = Population(np.array(positions, dtype=np.float64))
+    params = EvolutionParams(neighborhood_radius=radius, fitness_epsilon=epsilon)
+    evaluate_population(pop, StereoFrame(left, right), rig, params)
+    return pop.raw_fitness

@@ -5,7 +5,9 @@ bound. The expensive preset runs (5 seeds x 2 presets x 120 generations
 at population 5000) are shared across criteria via session fixtures.
 """
 
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +17,17 @@ from flyswarm.evolution import (
     EvolutionParams,
     Population,
     StereoFrame,
+    Swarm,
     apply_sharing,
     crossover,
     evaluate_population,
     select,
-    step_generation,
 )
-from flyswarm.imaging import Image, sobel_norm_map
+from flyswarm.imaging import Image
 from flyswarm.stereo_geometry import project_many, sample_points, visible_many
 from flyswarm.synth import ground_truth_depth, preset_scene, render_stereo_pair
 from flyswarm.warning import WarningParams, warning_values
-
-from test_evolution import naive_fitness
+from reference import naive_fitness, sobel_norm_map
 
 SEEDS = (1, 2, 3, 4, 5)
 STEADY_GENERATIONS = 120
@@ -185,17 +186,14 @@ def test_a3_reaction_time(steady_means, sequence_frames_dir, tmp_path):
 
 
 def test_a4_latency(session_rig, pedestrian_pair):
-    params = EvolutionParams()
-    frame = StereoFrame(*pedestrian_pair)
-    rng = np.random.default_rng(0)
-    pop = Population.initialize(session_rig, params, rng)
-    wp = WarningParams()
+    swarm = Swarm(session_rig, EvolutionParams())
+    swarm.feed(*pedestrian_pair)
     for _ in range(3):  # warmup
-        step_generation(pop, frame, session_rig, params, rng, wp)
+        swarm.step()
     durations = []
     for _ in range(50):
         t0 = time.perf_counter()
-        step_generation(pop, frame, session_rig, params, rng, wp)
+        swarm.step()
         durations.append((time.perf_counter() - t0) * 1e3)
     mean_ms = float(np.mean(durations))
     ok = mean_ms <= 20.0
@@ -236,7 +234,22 @@ def test_a5_fitness_oracle(session_rig, pedestrian_pair):
     assert np.all(invisible.raw_fitness == 0.0)
 
 
-def test_a6_operator_properties(session_rig, pedestrian_frame):
+def test_reference_imports_no_flyswarm_function():
+    # the A5 oracle and the other references restate what they check: from
+    # the package they may read value types only, and no test module
+    tests = Path(__file__).parent
+    tree = ast.parse((tests / "reference.py").read_text(encoding="utf-8"))
+    imports = [(alias.name, None) for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imports += [(node.module or "", alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imports, "no imports parsed"
+    for module, name in imports:
+        top = module.split(".")[0]
+        assert not (tests / f"{top}.py").exists(), module
+        if top == "flyswarm":
+            assert name in {"Image", "StereoRig", "EvolutionParams"}, (module, name)
+
+
+def test_a6_operator_properties(session_rig, pedestrian_pair):
     cases = 10_000
     rng = np.random.default_rng(6)
     failures = []
@@ -257,11 +270,11 @@ def test_a6_operator_properties(session_rig, pedestrian_frame):
             failures.append("lambda=0 endpoint")
 
     # population-size conservation over generations
-    params = EvolutionParams(population_size=1000, rng_seed=3)
-    pop = Population.initialize(session_rig, params, np.random.default_rng(3))
+    swarm = Swarm(session_rig, EvolutionParams(population_size=1000, rng_seed=3))
+    swarm.feed(*pedestrian_pair)
     for _ in range(10):
-        step_generation(pop, pedestrian_frame, session_rig, params, np.random.default_rng(4))
-        if len(pop) != 1000:
+        swarm.step()
+        if len(swarm.population) != 1000:
             failures.append("population size drift")
 
     # selection dominance on a random population
@@ -362,21 +375,20 @@ def test_persistent_population_reacts_no_slower(steady_means, session_rig):
     # restarting fresh at the scene switch must not react faster than the
     # population that kept refining the previous scene
     ped, empty = steady_means
-    params = EvolutionParams()
-    wp = WarningParams()
-    empty_frame = StereoFrame(*render_stereo_pair(preset_scene("empty-road", session_rig), session_rig))
-    ped_frame = StereoFrame(*render_stereo_pair(preset_scene("pedestrian-4m", session_rig), session_rig))
+    empty_pair = render_stereo_pair(preset_scene("empty-road", session_rig), session_rig)
+    ped_pair = render_stereo_pair(preset_scene("pedestrian-4m", session_rig), session_rig)
 
     def crossing(seed, restart):
-        rng = np.random.default_rng(seed)
-        pop = Population.initialize(session_rig, params, rng)
+        swarm = Swarm(session_rig, EvolutionParams(rng_seed=seed))
+        swarm.feed(*empty_pair)
         for _ in range(SWITCH_FRAME):
-            step_generation(pop, empty_frame, session_rig, params, rng, wp)
+            swarm.step()
         if restart:
-            pop = Population.initialize(session_rig, params, rng)
+            swarm.population = Population.initialize(session_rig, swarm.params, swarm.rng)
+        swarm.feed(*ped_pair)
         midpoint = (ped[seed] + empty[seed]) / 2
         for g in range(1, POST_SWITCH_FRAMES + 1):
-            if step_generation(pop, ped_frame, session_rig, params, rng, wp).global_mean > midpoint:
+            if swarm.step().global_mean > midpoint:
                 return g
         return POST_SWITCH_FRAMES + 1
 

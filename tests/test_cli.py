@@ -280,7 +280,7 @@ class TestDetectCommand:
                 "300",
             ]
         )
-        from flyswarm.stereo_geometry import project
+        from reference import project
 
         rig = rig_from_config({})
         _, rows = read_csv(out / "flies.csv")

@@ -5,69 +5,33 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import colour_pair, window_fitness
 from flyswarm import evolution
 from flyswarm.evolution import (
     EvolutionParams,
     Population,
     StereoFrame,
+    Swarm,
     _offspring_counts,
     apply_sharing,
     crossover,
-    evaluate_and_share,
     evaluate_population,
     mutate,
     select,
     select_and_refill,
-    step_generation,
     survivor_count,
 )
-from flyswarm.imaging import Image, sobel_norm_map
-from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig, project, project_many, sample_points, search_volume
+from flyswarm.imaging import Image, load_pnm, save_pnm
+from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig, project_many, sample_points, search_volume
 from flyswarm.synth import Scene, TexturedRect, render_stereo_pair
 from flyswarm.warning import WarningParams
-from test_imaging import window_fitness
-
-
-def naive_fitness(position, left, right, grad_left, grad_right, rig, params):
-    """Straight-loop reimplementation of the fitness: rounded projections,
-    gradient product over epsilon-shifted window SSD."""
-    f = rig.intrinsics.focal_length_px
-    u0, v0 = rig.intrinsics.principal_point
-    b = rig.baseline_m
-    x, y, z = position
-    if z < 0.01:
-        return 0.0
-    xl = u0 + f * (x + b / 2) / z
-    xr = u0 + f * (x - b / 2) / z
-    v = v0 - f * y / z
-    n = params.neighborhood_radius
-    w, h = rig.intrinsics.image_width, rig.intrinsics.image_height
-    if not (n <= xl <= w - 1 - n and n <= xr <= w - 1 - n and n <= v <= h - 1 - n):
-        return 0.0
-    il, ir, iv = int(np.rint(xl)), int(np.rint(xr)), int(np.rint(v))
-    num = grad_left.norms[iv, il] * grad_right.norms[iv, ir]
-    ssd = 0
-    for j in range(-n, n + 1):
-        for i in range(-n, n + 1):
-            a = left.samples[iv + j, il + i]
-            c = right.samples[iv + j, ir + i]
-            for va, vc in zip(np.atleast_1d(a), np.atleast_1d(c)):
-                ssd += (int(va) - int(vc)) ** 2
-    return num / (params.fitness_epsilon + ssd)
+from reference import naive_fitness, project, sobel_norm_map
 
 
 def fitness_of(positions, frame, rig, params) -> np.ndarray:
     pop = Population(np.atleast_2d(np.asarray(positions, dtype=np.float64)))
     evaluate_population(pop, frame, rig, params)
     return pop.raw_fitness
-
-
-def colour_pair(pair):
-    # one channel mix applied to both views keeps the pair photo-consistent
-    return tuple(
-        Image.from_array(np.stack([s, 255 - s, (s.astype(np.uint16) * 3 % 256).astype(np.uint8)], axis=2))
-        for s in (pair[0].samples, pair[1].samples)
-    )
 
 
 class TestFitness:
@@ -262,18 +226,55 @@ class TestScoreCache:
     def test_colour_frame_with_no_rows_left_to_score(self, session_rig, pedestrian_pair):
         # selection_ratio 1 keeps every fly, so from the second generation
         # on the same frame no row is left to score
-        params = EvolutionParams(population_size=300, selection_ratio=1.0)
-        rng = np.random.default_rng(22)
-        pop = Population.initialize(session_rig, params, rng)
-        frame = StereoFrame(*colour_pair(pedestrian_pair))
+        params = EvolutionParams(population_size=300, selection_ratio=1.0, rng_seed=22)
+        swarm = Swarm(session_rig, params)
+        swarm.feed(*colour_pair(pedestrian_pair))
         for _ in range(3):
-            step_generation(pop, frame, session_rig, params, rng)
-        evaluate_and_share(pop, frame, session_rig, params)
+            swarm.step()
+        swarm.evaluate()
+        pop = swarm.population
         assert pop.scored_rows == len(pop)
         twin = Population(pop.positions)
-        evaluate_population(twin, frame, session_rig, params)
+        evaluate_population(twin, swarm.frame, session_rig, params)
         assert np.count_nonzero(twin.raw_fitness) >= 50
         assert pop.raw_fitness.tobytes() == twin.raw_fitness.tobytes()
+
+    def _rows_scored_per_step(self, monkeypatch, swarm, pairs):
+        """Feed each pair and step once; the rows scored in each step."""
+        scored = []
+        raw_fitness = evolution._raw_fitness
+
+        def recording(positions, *args):
+            scored.append(len(positions))
+            return raw_fitness(positions, *args)
+
+        monkeypatch.setattr(evolution, "_raw_fitness", recording)
+        for pair in pairs:
+            swarm.feed(*pair)
+            swarm.step()
+        return scored
+
+    def test_feed_keeps_the_frame_of_a_pair_with_equal_pixels(self, monkeypatch, session_rig, pedestrian_pair):
+        swarm = Swarm(session_rig, EvolutionParams(rng_seed=23))
+        swarm.feed(*pedestrian_pair)
+        frame = swarm.frame
+        decoded = tuple(load_pnm(save_pnm(img)) for img in pedestrian_pair)  # new images, equal pixels
+        scored = self._rows_scored_per_step(monkeypatch, swarm, [pedestrian_pair, decoded, decoded])
+        n, s = len(swarm.population), survivor_count(swarm.params.selection_ratio, len(swarm.population))
+        assert swarm.frame is frame
+        assert scored == [n, n - s, n - s]
+
+    @pytest.mark.parametrize("changed", [0, 1], ids=["left", "right"])
+    def test_feed_rebuilds_the_frame_when_pixels_change(self, monkeypatch, session_rig, pedestrian_pair, changed):
+        swarm = Swarm(session_rig, EvolutionParams(rng_seed=24))
+        swarm.feed(*pedestrian_pair)
+        frame = swarm.frame
+        other = list(pedestrian_pair)
+        other[changed] = Image.from_array(255 - other[changed].samples)
+        scored = self._rows_scored_per_step(monkeypatch, swarm, [pedestrian_pair, other])
+        assert swarm.frame is not frame
+        assert (swarm.frame.left, swarm.frame.right) == tuple(other)
+        assert scored == [len(swarm.population)] * 2
 
 
 class TestSharing:
@@ -527,81 +528,74 @@ class TestMutate:
 
 
 class TestStepGeneration:
-    def _setup(self, rig, n=300, seed=11):
+    def _setup(self, rig, warning_params=WarningParams(), **params):
         rect = TexturedRect(center=(0.0, 0.0, 2.0), width_m=0.8, height_m=0.8, texture_seed=3, texture_cell_m=0.05)
         scene = Scene(obstacles=(rect,), ground_texture_seed=4)
-        frame = StereoFrame(*render_stereo_pair(scene, rig))
-        params = EvolutionParams(population_size=n, rng_seed=seed)
-        rng = np.random.default_rng(seed)
-        pop = Population.initialize(rig, params, rng)
-        return pop, frame, params, rng
+        swarm = Swarm(rig, EvolutionParams(**{"population_size": 300, "rng_seed": 11, **params}), warning_params)
+        swarm.feed(*render_stereo_pair(scene, rig))
+        return swarm
 
-    def test_size_and_index(self, small_rig):
-        pop, frame, params, rng = self._setup(small_rig)
-        assert pop.generation_index == 0
-        step_generation(pop, frame, small_rig, params, rng)
-        assert len(pop) == params.population_size
-        assert pop.generation_index == 1
+    def test_size_preserved(self, small_rig):
+        swarm = self._setup(small_rig)
+        swarm.step()
+        assert len(swarm.population) == swarm.params.population_size
 
     def test_returns_report_of_evaluated_population(self, small_rig):
         # the report describes the population before selection and refill
-        pop, frame, params, rng = self._setup(small_rig)
-        step_generation(pop, frame, small_rig, params, rng)
-        twin = Population(pop.positions)
-        expected = evaluate_and_share(twin, frame, small_rig, params)
-        report = step_generation(pop, frame, small_rig, params, rng)
+        swarm = self._setup(small_rig)
+        swarm.step()
+        twin = self._setup(small_rig)
+        twin.population = Population(swarm.population.positions)
+        expected = twin.evaluate()
+        report = swarm.step()
         assert np.array_equal(report.per_fly, expected.per_fly)
         assert report.global_mean == expected.global_mean
-        assert not np.array_equal(pop.positions, twin.positions)
+        assert not np.array_equal(swarm.population.positions, twin.population.positions)
 
     def test_deterministic_trajectory(self, small_rig):
         runs = []
         for _ in range(2):
-            pop, frame, params, rng = self._setup(small_rig)
+            swarm = self._setup(small_rig)
             for _ in range(50):
-                step_generation(pop, frame, small_rig, params, rng)
+                swarm.step()
+            pop = swarm.population
             runs.append((pop.positions.copy(), pop.raw_fitness.copy(), pop.shared_fitness.copy()))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
         assert np.array_equal(runs[0][2], runs[1][2])
 
     def test_positions_stay_in_volume(self, small_rig):
-        pop, frame, params, rng = self._setup(small_rig)
-        vol = search_volume(small_rig, params.neighborhood_radius)
+        swarm = self._setup(small_rig)
+        vol = search_volume(small_rig, swarm.params.neighborhood_radius)
         for _ in range(20):
-            step_generation(pop, frame, small_rig, params, rng)
-            assert vol.contains(pop.positions).all()
+            swarm.step()
+            assert vol.contains(swarm.population.positions).all()
 
     def test_single_survivor_falls_back_to_mutation(self, small_rig):
-        pop, frame, params, rng = self._setup(small_rig, n=10)
-        params = EvolutionParams(
-            population_size=10, selection_ratio=0.05, rng_seed=1
-        )  # one survivor
-        step_generation(pop, frame, small_rig, params, rng)
-        assert len(pop) == 10
+        swarm = self._setup(small_rig, population_size=10, selection_ratio=0.05, rng_seed=1)  # one survivor
+        swarm.step()
+        assert len(swarm.population) == 10
 
     def test_warning_params_respected(self, small_rig):
-        pop, frame, params, rng = self._setup(small_rig)
         wp = WarningParams(max_range_m=1.0 + 1e-6, z_clamp_m=0.5)
-        evaluate_and_share(pop, frame, small_rig, params, wp)
+        swarm = self._setup(small_rig, wp)
+        swarm.evaluate()
+        pop = swarm.population
         far = pop.positions[:, 2] > wp.max_range_m
         assert far.any()
         assert np.all(pop.shared_fitness[far] == 0.0)
 
 
 def mean_generation_ms(rig, pair, population: int, generations: int) -> float:
-    """Mean wall time of ``step_generation`` after two warmup generations."""
-    params = EvolutionParams(population_size=population, rng_seed=1)
-    frame = StereoFrame(*pair)
-    rng = np.random.default_rng(1)
-    pop = Population.initialize(rig, params, rng)
-    wp = WarningParams()
+    """Mean wall time of ``Swarm.step`` after two warmup generations."""
+    swarm = Swarm(rig, EvolutionParams(population_size=population, rng_seed=1))
+    swarm.feed(*pair)
     for _ in range(2):
-        step_generation(pop, frame, rig, params, rng, wp)
+        swarm.step()
     durations = []
     for _ in range(generations):
         t0 = time.perf_counter()
-        step_generation(pop, frame, rig, params, rng, wp)
+        swarm.step()
         durations.append(time.perf_counter() - t0)
     return float(np.mean(durations)) * 1e3
 

@@ -13,9 +13,9 @@ import shutil
 
 import pytest
 
+from conftest import colour_pair
 from flyswarm.cli import main
 from flyswarm.imaging import read_pnm, write_pnm
-from test_evolution import colour_pair
 
 A7_FLIES = "7e0f1c2e420450a8022e0cbb2907ad5c7bd7d7b71798a2dd9d53853e288709a0"
 A7_TRACE = "285c0cc603d410e4f1648ea076b23746cd3df11e0073de3c187e7b32b7c3ebbd"

@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flyswarm.evolution import EvolutionParams, Population, StereoFrame, evaluate_population
-from flyswarm.imaging import (
-    Image,
-    PnmParseError,
-    load_pnm,
-    save_pnm,
-    sobel_norm_map,
-)
-from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig
+from conftest import window_fitness
+from flyswarm.evolution import StereoFrame
+from flyswarm.imaging import Image, PnmParseError, load_pnm, save_pnm
+from reference import sobel_norm_map, ssd_oracle
 
 
 def grey(arr) -> Image:
@@ -126,6 +121,8 @@ class TestPnm:
 
 
 class TestSobel:
+    """The full-frame reference Sobel that the fitness kernel is checked against."""
+
     def test_constant_image_zero(self):
         g = sobel_norm_map(grey(np.full((5, 7), 200)))
         assert np.all(g.norms == 0)
@@ -166,37 +163,6 @@ class TestSobel:
         a = sobel_norm_map(grey(arr))
         b = sobel_norm_map(grey(arr + 50))
         assert np.array_equal(a.norms, b.norms)
-
-
-def ssd_oracle(a, b, pl, pr, n):
-    # straight double loop over the window and channels
-    total = 0
-    for j in range(-n, n + 1):
-        for i in range(-n, n + 1):
-            va = a[pl[1] + j][pl[0] + i]
-            vb = b[pr[1] + j][pr[0] + i]
-            for da, db in zip(np.atleast_1d(va), np.atleast_1d(vb)):
-                total += (int(da) - int(db)) ** 2
-    return total
-
-
-def window_fitness(left: Image, right: Image, centres, radius: int, epsilon: float = 1.0) -> np.ndarray:
-    """Batch fitness of one fly per ((x_left, y), (x_right, y)) centre pair.
-
-    A rig with focal length 100 px, baseline 1 m and the principal point
-    at the origin puts a fly at depth 100 / (x_left - x_right) onto
-    exactly those pixels.
-    """
-    rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), left.width, left.height), baseline_m=1.0)
-    positions = []
-    for (xl, y), (xr, yr) in centres:
-        assert y == yr and xl > xr  # rectified rig: same row, positive disparity
-        z = 100.0 / (xl - xr)
-        positions.append((xl * z / 100.0 - 0.5, -y * z / 100.0, z))
-    pop = Population(np.array(positions, dtype=np.float64))
-    params = EvolutionParams(neighborhood_radius=radius, fitness_epsilon=epsilon)
-    evaluate_population(pop, StereoFrame(left, right), rig, params)
-    return pop.raw_fitness
 
 
 def fitness_oracle(a, b, pl, pr, n, epsilon=1.0):

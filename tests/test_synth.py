@@ -47,7 +47,7 @@ def test_surface_point_photo_consistent(default_rig):
     rect = TexturedRect(center=(0.0, 0.0, 5.0), width_m=1.0, height_m=0.8, texture_seed=9)
     scene = Scene(obstacles=(rect,), background_grey=135)
     left, right = render_stereo_pair(scene, default_rig)
-    from flyswarm.stereo_geometry import project
+    from reference import project
 
     p = project(default_rig, (0.07, 0.11, 5.0))
     xl, yl = int(np.rint(p.left_px[0])), int(np.rint(p.left_px[1]))
