@@ -20,6 +20,6 @@ from .evolution import (
 from .imaging import Image, PnmParseError, load_pnm, read_pnm, save_pnm, write_pnm
 from .stereo_geometry import CameraIntrinsics, SearchVolume, StereoRig, sample_points, search_volume
 from .synth import Scene, TexturedRect, ground_truth_depth, preset_scene, render_stereo_pair
-from .warning import WarningParams, WarningReport, global_warning, top_k, warning_values
+from .warning import WarningParams, WarningReport, global_warning, warning_values
 
 __version__ = "0.1.0"

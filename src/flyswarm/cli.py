@@ -2,12 +2,16 @@
 
 detect/sequence print one `generation,global_warning` CSV line per
 generation to stdout, then the final global warning on its own line.
-Both run one ``evolution.Swarm`` over their pairs; ``sequence`` decodes
-each pair only when the run reaches it. All outputs are
-deterministic for a fixed seed. Rejected input (flag and config values,
-unknown config keys, PNM bytes, sizes too large to allocate) ends in
-exit code 2 and a one-line message on stderr. A reader that closes
-stdout early ends the run with exit code 1 and no message.
+Both run one ``evolution.Swarm`` over their pairs (``sequence`` decodes
+each pair only when the run reaches it) and always write
+``warning_trace.csv`` and ``flies.csv``; ``detect`` also writes
+``overlay_left.ppm`` and ``overlay_right.ppm``, a red cross on each of the
+OVERLAY_TOP_K flies of highest shared fitness, ties to the lower index.
+All outputs are deterministic for a fixed seed. Rejected input (flag and
+config values, a config key no reader in ``config`` looks up, PNM bytes,
+sizes too large to allocate) ends in exit code 2 and a one-line message
+on stderr. A reader that closes stdout early ends the run with exit
+code 1 and no message.
 """
 
 from __future__ import annotations
@@ -27,20 +31,20 @@ from .config import (
     ConfigError,
     KeyLog,
     evolution_params_from_config,
-    get_flag,
     get_int,
     load_config,
     rig_from_config,
     scene_from_config,
     warning_params_from_config,
 )
-from .evolution import EvolutionParams, Population, Swarm
+from .evolution import EvolutionParams, Population, Swarm, elite
 from .imaging import Image, read_pnm, write_pnm
 from .stereo_geometry import StereoRig, project_many
 from .synth import PRESET_NAMES, Scene, preset_scene, render_stereo_pair
-from .warning import WarningParams, WarningReport, top_k
+from .warning import WarningParams, WarningReport
 
 MARKER_RGB = (255, 0, 0)
+OVERLAY_TOP_K = 250  # flies marked on each overlay
 
 
 @dataclass
@@ -54,15 +58,10 @@ class RunConfig:
     right: str | None = None
     preset: str | None = None
     scene: Scene | None = None
-    overlay_top_k: int = 250
-    emit_flies: bool = True
-    emit_overlays: bool = True
 
     def __post_init__(self):
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
-        if self.overlay_top_k < 0:
-            raise ConfigError(f"overlay_top_k must be >= 0, got {self.overlay_top_k}")
 
 
 def _build_run_config(args, default_generations: int) -> RunConfig:
@@ -85,9 +84,6 @@ def _build_run_config(args, default_generations: int) -> RunConfig:
         right=getattr(args, "right", None),
         preset=getattr(args, "preset", None),
         scene=scene_from_config(cfg),
-        overlay_top_k=get_int(cfg, "overlay_top_k", 250),
-        emit_flies=get_flag(cfg, "emit_flies", True),
-        emit_overlays=get_flag(cfg, "emit_overlays", True),
     )
     cfg.reject_unread()
     return rc
@@ -111,6 +107,8 @@ def _check_rig_match(image: Image, rig: StereoRig, name: str) -> Image:
 
 
 def _load_pair(rc: RunConfig) -> tuple[Image, Image]:
+    if rc.preset and (rc.left or rc.right):
+        raise ConfigError("--preset and --left/--right are two scenes; pass one of them")
     if rc.left and rc.right:
         left, right = read_pnm(rc.left), read_pnm(rc.right)
     elif rc.left or rc.right:
@@ -159,29 +157,21 @@ def write_trace_csv(path: Path, rows: list[tuple[int, float]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _draw_markers(base: Image, pixels: list[tuple[int, int]]) -> Image:
-    """3x3 cross (centre plus 4 neighbours) per marked projection."""
-    if base.channels == 1:
-        rgb = np.repeat(base.samples[:, :, None], 3, axis=2).copy()
-    else:
-        rgb = base.samples.copy()
-    h, w = base.height, base.width
-    for (u, v) in pixels:
-        for du, dv in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-            uu, vv = u + du, v + dv
-            if 0 <= uu < w and 0 <= vv < h:
-                rgb[vv, uu] = MARKER_RGB
+def _draw_markers(base: Image, u: np.ndarray, v: np.ndarray) -> Image:
+    """RGB copy of ``base``: a 5-pixel cross at each rounded (u[i], v[i]), clipped."""
+    rgb = np.repeat(base.samples.reshape(base.height, base.width, -1), 3 // base.channels, axis=2)
+    uu = np.rint(u).astype(np.int64)[:, None] + [0, 1, -1, 0, 0]
+    vv = np.rint(v).astype(np.int64)[:, None] + [0, 0, 0, 1, -1]
+    inside = (uu >= 0) & (uu < base.width) & (vv >= 0) & (vv < base.height)
+    rgb[vv[inside], uu[inside]] = MARKER_RGB
     return Image.from_array(rgb)
 
 
 def write_overlays(rc: RunConfig, left: Image, right: Image, pop: Population) -> None:
-    k = min(rc.overlay_top_k, len(pop))
-    best = top_k(pop, k)
+    best = elite(pop.shared_fitness, min(OVERLAY_TOP_K, len(pop)))
     u_left, u_right, v = project_many(rc.rig, pop.positions[best])
-    left_px = [(int(np.rint(u)), int(np.rint(r))) for u, r in zip(u_left, v)]
-    right_px = [(int(np.rint(u)), int(np.rint(r))) for u, r in zip(u_right, v)]
-    write_pnm(rc.out_dir / "overlay_left.ppm", _draw_markers(left, left_px))
-    write_pnm(rc.out_dir / "overlay_right.ppm", _draw_markers(right, right_px))
+    write_pnm(rc.out_dir / "overlay_left.ppm", _draw_markers(left, u_left, v))
+    write_pnm(rc.out_dir / "overlay_right.ppm", _draw_markers(right, u_right, v))
 
 
 def cmd_synth(rc: RunConfig) -> int:
@@ -220,16 +210,14 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
     # is fully evaluated against the last frame
     final = swarm.evaluate()
     write_trace_csv(rc.out_dir / "warning_trace.csv", trace)
-    if rc.emit_flies:
-        write_flies_csv(rc.out_dir / "flies.csv", swarm.population, final.per_fly)
+    write_flies_csv(rc.out_dir / "flies.csv", swarm.population, final.per_fly)
     return swarm, final
 
 
 def cmd_detect(rc: RunConfig) -> int:
     left, right = _load_pair(rc)
     swarm, final = _run(rc, [(left, right)])
-    if rc.emit_overlays:
-        write_overlays(rc, left, right, swarm.population)
+    write_overlays(rc, left, right, swarm.population)
     print(_format_float(final.global_mean))
     return 0
 

@@ -32,9 +32,6 @@ DEFAULT_FOCAL_LENGTH_PX = 500.0
 DEFAULT_PRINCIPAL_POINT = (320.0, 240.0)
 DEFAULT_IMAGE_SIZE = (640, 480)
 DEFAULT_BASELINE_M = 0.4
-DEFAULT_CAMERA_HEIGHT_M = 1.2
-DEFAULT_Z_MIN_M = 1.0
-DEFAULT_Z_MAX_M = 20.0
 
 class ConfigError(ValueError):
     """Bad configuration file or inconsistent run options."""
@@ -129,13 +126,6 @@ def get_int(cfg: dict, key: str, default: int | None) -> int | None:
     return default if values is None else _integer(values[0], key)
 
 
-def get_flag(cfg: dict, key: str, default: bool) -> bool:
-    value = get_int(cfg, key, int(default))
-    if value not in (0, 1):
-        raise ConfigError(f"key {key!r} expects 0 or 1, got {value}")
-    return bool(value)
-
-
 def get_floats(cfg: dict, key: str, default, count: int):
     raw = _single(cfg, key)
     if raw is None:
@@ -171,12 +161,13 @@ def rig_from_config(cfg: dict) -> StereoRig:
         image_width=width,
         image_height=height,
     )
+    rig_defaults = {f.name: f.default for f in fields(StereoRig)}
     return StereoRig(
         intrinsics=intrinsics,
         baseline_m=get_float(cfg, "baseline_m", DEFAULT_BASELINE_M),
-        camera_height_m=get_float(cfg, "camera_height_m", DEFAULT_CAMERA_HEIGHT_M),
-        z_min_m=get_float(cfg, "z_min_m", DEFAULT_Z_MIN_M),
-        z_max_m=get_float(cfg, "z_max_m", DEFAULT_Z_MAX_M),
+        camera_height_m=get_float(cfg, "camera_height_m", rig_defaults["camera_height_m"]),
+        z_min_m=get_float(cfg, "z_min_m", rig_defaults["z_min_m"]),
+        z_max_m=get_float(cfg, "z_max_m", rig_defaults["z_max_m"]),
     )
 
 

@@ -286,19 +286,23 @@ def survivor_count(ratio: float, population_size: int) -> int:
     return min(max(k, 1), population_size)
 
 
-def select(population: Population, params: EvolutionParams) -> np.ndarray:
-    """Indices of the elite by shared fitness, ascending index order.
+def elite(fitness: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest values, 1 <= k <= len(fitness), ascending.
 
-    Every fly above the k-th largest value survives, and the lowest-index
-    flies equal to it fill the rest: the first k of a stable descending
+    Every value above the k-th largest is kept, and the lowest-index
+    values equal to it fill the rest: the first k of a stable descending
     sort, found with a partition instead of a sort.
     """
-    fitness = population.shared_fitness
-    k = survivor_count(params.selection_ratio, len(fitness))
     kth = np.partition(fitness, len(fitness) - k)[len(fitness) - k]
-    elite = fitness > kth
-    elite[np.flatnonzero(fitness == kth)[: k - np.count_nonzero(elite)]] = True
-    return np.flatnonzero(elite)
+    keep = fitness > kth
+    keep[np.flatnonzero(fitness == kth)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
+def select(population: Population, params: EvolutionParams) -> np.ndarray:
+    """Indices of the elite by shared fitness, ascending index order."""
+    fitness = population.shared_fitness
+    return elite(fitness, survivor_count(params.selection_ratio, len(fitness)))
 
 
 def crossover(parent1: np.ndarray, parent2: np.ndarray, lam) -> np.ndarray:

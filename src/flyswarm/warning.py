@@ -78,14 +78,3 @@ def global_warning(population, params: WarningParams) -> WarningReport:
         population.positions, population.raw_fitness, population.penalized, params
     )
     return WarningReport(per_fly, float(per_fly.mean()))
-
-
-def top_k(population, k: int) -> np.ndarray:
-    """Indices of the k highest shared-fitness flies, best first.
-
-    Ties resolve to the lower array index.
-    """
-    if not (0 <= k <= len(population)):
-        raise ValueError(f"k={k} outside [0, {len(population)}]")
-    order = np.argsort(-population.shared_fitness, kind="stable")
-    return order[:k]

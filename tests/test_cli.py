@@ -2,9 +2,11 @@ import argparse
 import io
 import os
 import platform
+import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +121,7 @@ CONFIG_KEYS = (
     "max_height_m min_height_m max_range_m x_clamp_m z_clamp_m "
     "obstacle ground_texture_seed background_grey ground_texture_cell_m"
 ).split()
-RUN_CONFIG_KEYS = ["emit_flies", "emit_overlays", "overlay_top_k", "generations"]
+RUN_CONFIG_KEYS = ["generations"]
 _number = st.one_of(
     st.integers(-5, 1000).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -161,7 +163,7 @@ def test_config_fuzz_yields_value_or_config_error(tmp_path_factory, text):
     assert not unknown
 
 
-def test_documented_keys_are_the_keys_a_run_reads(monkeypatch, tmp_path):
+def keys_a_run_reads(monkeypatch, tmp_path):
     # the readers are the only list of valid keys; with no config at all
     # they still look up every key, the flag-overridden generations too
     logs = []
@@ -173,7 +175,19 @@ def test_documented_keys_are_the_keys_a_run_reads(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "KeyLog", Recorded)
     cli._build_run_config(argparse.Namespace(config=None, generations=5, out=str(tmp_path)), 1)
-    assert [log.read for log in logs] == [set(CONFIG_KEYS) | set(RUN_CONFIG_KEYS)]
+    assert len(logs) == 1
+    return logs[0].read
+
+
+def test_documented_keys_are_the_keys_a_run_reads(monkeypatch, tmp_path):
+    assert keys_a_run_reads(monkeypatch, tmp_path) == set(CONFIG_KEYS) | set(RUN_CONFIG_KEYS)
+
+
+def test_readme_lists_the_keys_a_run_reads(monkeypatch, tmp_path):
+    # every backticked lowercase identifier of the README's config section names a key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration file\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`([a-z][a-z0-9_]*)`", section)) == keys_a_run_reads(monkeypatch, tmp_path)
 
 
 class TestSynthCommand:
@@ -303,6 +317,14 @@ class TestDetectCommand:
         got = {(u, v) for v, u in zip(*np.where(red))}
         assert got == expected
 
+    def test_markers_are_clipped_to_the_image(self):
+        base = flyswarm.Image.from_array(np.zeros((4, 5), dtype=np.uint8))
+        # rounded centres (0, 0), (4, 3), (5, 1) just right of the image, (-2, 9) far outside
+        marked = cli._draw_markers(base, np.array([0.4, 3.6, 5.0, -2.0]), np.array([-0.4, 3.2, 1.0, 9.0]))
+        red = {(u, v) for v, u in zip(*np.nonzero(marked.samples[:, :, 0]))}
+        assert red == {(0, 0), (1, 0), (0, 1), (4, 3), (3, 3), (4, 2), (4, 1)}
+        assert not base.samples.any()
+
     def test_exit_zero_and_final_line(self, tmp_path, capsys):
         out = tmp_path / "final"
         code = main(
@@ -312,30 +334,6 @@ class TestDetectCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[-1]) >= 0.0
         assert lines[0].startswith("1,")
-
-    def test_emit_flags(self, tmp_path):
-        conf = tmp_path / "quiet.conf"
-        conf.write_text("emit_overlays = 0\nemit_flies = 0\n")
-        out = tmp_path / "quiet"
-        code = main(
-            [
-                "detect",
-                "--preset",
-                "empty-road",
-                "--config",
-                str(conf),
-                "--out",
-                str(out),
-                "--generations",
-                "2",
-                "--population",
-                "200",
-            ]
-        )
-        assert code == 0
-        assert (out / "warning_trace.csv").exists()
-        assert not (out / "flies.csv").exists()
-        assert not (out / "overlay_left.ppm").exists()
 
     def test_dimension_mismatch_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "rig.conf"
@@ -423,26 +421,34 @@ class TestFailureContract:
         assert out == ""
         assert err.count("\n") == 1 and "unknown key 'populaton_size'" in err
 
-    @pytest.mark.parametrize("line", ["emit_flies = 7", "emit_overlays = -1", "emit_flies = 2"])
-    def test_emit_flag_other_than_0_or_1_exits_2(self, tmp_path, capsys, line):
-        # any integer used to mean true
-        code, out, err = self.run_detect(tmp_path, capsys, config=line + "\n")
+    @pytest.mark.parametrize("command", ["detect", "sequence"])
+    @pytest.mark.parametrize("line", ["emit_flies = 0", "emit_overlays = 1", "overlay_top_k = 7"])
+    def test_removed_output_key_exits_2(self, tmp_path, capsys, command, line):
+        # these keys once switched outputs off and on; sequence read two and ignored them
+        rig = "image_size = 64, 64\nfocal_length_px = 80\nprincipal_point = 32, 32\nbaseline_m = 0.2\n"
+        conf = tmp_path / "run.conf"
+        conf.write_text(rig)
+        pair = tmp_path / "pair"
+        assert main(["synth", "--preset", "pedestrian-4m", "--config", str(conf), "--out", str(pair)]) == 0
+        conf.write_text(rig + line + "\n")
+        argv = [command, "--left", str(pair / "left.pgm"), "--right", str(pair / "right.pgm"), "--config", str(conf)]
+        capsys.readouterr()
+        code = main(argv + ["--population", "64", "--generations", "1", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
         assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and line.split()[0] in err
-
-    def test_negative_overlay_top_k_exits_2_before_the_run(self, tmp_path, capsys):
-        # used to fail only after the run, with flies.csv and the trace written
-        code, out, err = self.run_detect(tmp_path, capsys, config="overlay_top_k = -1\n")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "overlay_top_k" in err
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"unknown key {line.split()[0]!r}" in captured.err
         assert not (tmp_path / "out").exists()
 
-    def test_overlay_top_k_zero_is_legal(self, tmp_path, capsys):
-        code, _, _ = self.run_detect(tmp_path, capsys, config="overlay_top_k = 0\n")
-        assert code == 0
-        assert (tmp_path / "out" / "overlay_left.ppm").exists()
+    def test_preset_and_files_exit_2_before_the_run(self, tmp_path, capsys):
+        # the files used to be evolved on and the preset dropped without a word
+        pair = tmp_path / "pair"
+        assert main(["synth", "--preset", "empty-road", "--out", str(pair)]) == 0
+        code, out, err = self.run_detect(tmp_path, capsys, "--left", str(pair / "left.pgm"), "--right", str(pair / "right.pgm"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("flyswarm: error:") and err.count("\n") == 1 and "--preset" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("exponent, expected", [("-3", 2), ("-0.5", 2), ("0", 0)])
     def test_negative_sharing_exponent_exits_2(self, tmp_path, capsys, exponent, expected):

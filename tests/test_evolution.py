@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import colour_pair, window_fitness
 from flyswarm import evolution
@@ -15,6 +15,7 @@ from flyswarm.evolution import (
     _offspring_counts,
     apply_sharing,
     crossover,
+    elite,
     evaluate_population,
     mutate,
     select,
@@ -362,6 +363,17 @@ class TestSharing:
         assert np.all(pop.shared_fitness == 1.0)
 
 
+def _tied_fitness() -> list[float]:
+    """1000 values in [0, 10) with 50 of them forced to 7.0."""
+    rng = np.random.default_rng(12)
+    fitness = rng.uniform(0, 10, size=1000)
+    fitness[rng.integers(0, 1000, 50)] = 7.0
+    return fitness.tolist()
+
+
+TIED_FITNESS = _tied_fitness()
+
+
 class TestSelect:
     def test_distinct_fitness_top_fraction(self, default_params):
         pop = Population(np.zeros((10, 3)) + [0, 0, 5])
@@ -387,13 +399,15 @@ class TestSelect:
         fitness=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e6)), min_size=1, max_size=80),
         ratio=st.one_of(st.sampled_from([1.0, 1e-6, 0.4]), st.floats(0.001, 1.0)),
     )
+    @example(fitness=TIED_FITNESS, ratio=0.25)
     def test_matches_stable_sort_oracle(self, fitness, ratio):
         f = np.array(fitness)
         pop = Population(np.zeros((len(f), 3)))
         pop.shared_fitness[:] = f
         k = survivor_count(ratio, len(f))
-        expected = np.sort(np.argsort(-f, kind="stable")[:k])
-        assert select(pop, EvolutionParams(selection_ratio=ratio)).tolist() == expected.tolist()
+        expected = np.sort(np.argsort(-f, kind="stable")[:k]).tolist()
+        assert elite(f, k).tolist() == expected
+        assert select(pop, EvolutionParams(selection_ratio=ratio)).tolist() == expected
 
     def test_survivor_count_rounding(self):
         assert survivor_count(0.4, 5000) == 2000

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flyswarm.evolution import Population
+from flyswarm.cli import OVERLAY_TOP_K
+from flyswarm.evolution import Population, elite
 from flyswarm.warning import (
     WarningParams,
     flag_useless,
     global_warning,
-    top_k,
     warning_values,
 )
 
@@ -122,28 +122,15 @@ class TestGlobalWarning:
 
 
 class TestTopK:
-    def test_full_population(self):
-        pop = make_pop(np.zeros((5, 3)), shared=[1, 5, 3, 2, 4])
-        assert sorted(top_k(pop, 5).tolist()) == [0, 1, 2, 3, 4]
-
-    def test_argmax(self):
-        pop = make_pop(np.zeros((5, 3)), shared=[1, 5, 3, 2, 4])
-        assert top_k(pop, 1).tolist() == [1]
-
     def test_matches_sorting_oracle(self):
+        # the overlay's top-k flies: the k highest shared fitness, ties to the lower index
         rng = np.random.default_rng(12)
         shared = rng.uniform(0, 10, size=1000)
         shared[rng.integers(0, 1000, 50)] = 7.0  # force ties
         pop = make_pop(np.zeros((1000, 3)), shared=shared)
-        got = top_k(pop, 250)
-        oracle = sorted(range(1000), key=lambda i: (-shared[i], i))[:250]
-        assert got.tolist() == oracle
-
-    def test_k_validation(self):
-        pop = make_pop(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            top_k(pop, 4)
-        assert top_k(pop, 0).size == 0
+        got = elite(pop.shared_fitness, OVERLAY_TOP_K)
+        oracle = sorted(range(1000), key=lambda i: (-shared[i], i))[:OVERLAY_TOP_K]
+        assert got.tolist() == sorted(oracle)
 
 
 def test_params_validation():
