@@ -1,5 +1,9 @@
 """Command-line pipeline: synth, detect, sequence.
 
+Each command reads only the config keys it uses: ``synth`` the rig and
+scene keys; ``detect`` and ``sequence`` the rig, evolution, warning and
+``generations`` keys, and ``detect`` the scene keys too when it renders
+its pair from the config (neither ``--preset`` nor ``--left``/``--right``).
 detect/sequence print one `generation,global_warning` CSV line per
 generation to stdout, then the final global warning on its own line.
 Both run one ``evolution.Swarm`` over their pairs (``sequence`` decodes
@@ -8,10 +12,10 @@ each pair only when the run reaches it) and always write
 ``overlay_left.ppm`` and ``overlay_right.ppm``, a red cross on each of the
 OVERLAY_TOP_K flies of highest shared fitness, ties to the lower index.
 All outputs are deterministic for a fixed seed. Rejected input (flag and
-config values, a config key no reader in ``config`` looks up, PNM bytes,
-sizes too large to allocate) ends in exit code 2 and a one-line message
-on stderr. A reader that closes stdout early ends the run with exit
-code 1 and no message.
+config values, a config key the command does not read, PNM bytes, sizes
+too large to allocate) ends in exit code 2 and a one-line message on
+stderr before any output. A reader that closes stdout early ends the run
+with exit code 1 and no message.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import glob
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,47 +58,30 @@ class RunConfig:
     warn: WarningParams
     generations: int
     out_dir: Path
-    left: str | None = None
-    right: str | None = None
-    preset: str | None = None
-    scene: Scene | None = None
 
     def __post_init__(self):
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
 
 
-def _build_run_config(args, default_generations: int) -> RunConfig:
-    cfg = KeyLog(load_config(args.config) if args.config else {})
-    rig = rig_from_config(cfg)
-    evo = evolution_params_from_config(cfg)
-    if getattr(args, "population", None) is not None:
-        evo = EvolutionParams(**{**evo.__dict__, "population_size": args.population})
-    if getattr(args, "seed", None) is not None:
-        evo = EvolutionParams(**{**evo.__dict__, "rng_seed": args.seed})
+def _run_config(args, cfg: KeyLog, default_generations: int) -> RunConfig:
+    """The rig, evolution, warning and generations keys, with the flags over them."""
+    rig, evo = rig_from_config(cfg), evolution_params_from_config(cfg)
+    flags = {"population_size": args.population, "rng_seed": args.seed}
+    evo = replace(evo, **{key: value for key, value in flags.items() if value is not None})
     # read even when the flag overrides it, so the key counts as known
     generations = get_int(cfg, "generations", default_generations)
-    rc = RunConfig(
-        rig=rig,
-        evo=evo,
-        warn=warning_params_from_config(cfg),
-        generations=args.generations if args.generations is not None else generations,
-        out_dir=Path(args.out),
-        left=getattr(args, "left", None),
-        right=getattr(args, "right", None),
-        preset=getattr(args, "preset", None),
-        scene=scene_from_config(cfg),
-    )
+    if args.generations is not None:
+        generations = args.generations
+    return RunConfig(rig, evo, warning_params_from_config(cfg), generations, Path(args.out))
+
+
+def _render(args, cfg: KeyLog, rig: StereoRig) -> tuple[Scene, Image, Image]:
+    """Render the scene of ``--preset``, else of the scene keys, once every
+    key the command reads has been read and none is left over."""
+    scene = preset_scene(args.preset, rig) if args.preset else scene_from_config(cfg)
     cfg.reject_unread()
-    return rc
-
-
-def _resolve_scene(rc: RunConfig) -> Scene:
-    if rc.preset:
-        return preset_scene(rc.preset, rc.rig)
-    if rc.scene is not None:
-        return rc.scene
-    raise ConfigError("no scene: pass --preset or a config file with scene keys")
+    return (scene, *render_stereo_pair(scene, rig))
 
 
 def _check_rig_match(image: Image, rig: StereoRig, name: str) -> Image:
@@ -104,18 +91,6 @@ def _check_rig_match(image: Image, rig: StereoRig, name: str) -> Image:
             f"{rig.intrinsics.image_width}x{rig.intrinsics.image_height}"
         )
     return image
-
-
-def _load_pair(rc: RunConfig) -> tuple[Image, Image]:
-    if rc.preset and (rc.left or rc.right):
-        raise ConfigError("--preset and --left/--right are two scenes; pass one of them")
-    if rc.left and rc.right:
-        left, right = read_pnm(rc.left), read_pnm(rc.right)
-    elif rc.left or rc.right:
-        raise ConfigError("--left and --right must be given together")
-    else:
-        left, right = render_stereo_pair(_resolve_scene(rc), rc.rig)
-    return _check_rig_match(left, rc.rig, "left"), _check_rig_match(right, rc.rig, "right")
 
 
 def _read_pairs(rig: StereoRig, lefts: list[str], rights: list[str]) -> Iterator[tuple[Image, Image]]:
@@ -174,17 +149,17 @@ def write_overlays(rc: RunConfig, left: Image, right: Image, pop: Population) ->
     write_pnm(rc.out_dir / "overlay_right.ppm", _draw_markers(right, u_right, v))
 
 
-def cmd_synth(rc: RunConfig) -> int:
-    scene = _resolve_scene(rc)
-    left, right = render_stereo_pair(scene, rc.rig)
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    write_pnm(rc.out_dir / "left.pgm", left)
-    write_pnm(rc.out_dir / "right.pgm", right)
+def cmd_synth(args, cfg: KeyLog) -> int:
+    scene, left, right = _render(args, cfg, rig_from_config(cfg))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_pnm(out_dir / "left.pgm", left)
+    write_pnm(out_dir / "right.pgm", right)
     lines = ["center_x,center_y,center_z,width_m,height_m,texture_seed,texture_cell_m"]
     for rect in scene.obstacles:
         cx, cy, cz, width, height, cell = map(float, (*rect.center, rect.width_m, rect.height_m, rect.texture_cell_m))
         lines.append(f"{cx!r},{cy!r},{cz!r},{width!r},{height!r},{rect.texture_seed},{cell!r}")
-    (rc.out_dir / "truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
@@ -214,19 +189,30 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
     return swarm, final
 
 
-def cmd_detect(rc: RunConfig) -> int:
-    left, right = _load_pair(rc)
+def cmd_detect(args, cfg: KeyLog) -> int:
+    rc = _run_config(args, cfg, default_generations=100)
+    if args.left or args.right:
+        if args.preset:
+            raise ConfigError("--preset and --left/--right are two scenes; pass one of them")
+        if not (args.left and args.right):
+            raise ConfigError("--left and --right must be given together")
+        cfg.reject_unread()
+        left, right = next(_read_pairs(rc.rig, [args.left], [args.right]))
+    else:
+        _, left, right = _render(args, cfg, rc.rig)
     swarm, final = _run(rc, [(left, right)])
     write_overlays(rc, left, right, swarm.population)
     print(_format_float(final.global_mean))
     return 0
 
 
-def cmd_sequence(rc: RunConfig) -> int:
-    if not (rc.left and rc.right):
+def cmd_sequence(args, cfg: KeyLog) -> int:
+    rc = _run_config(args, cfg, default_generations=1)
+    cfg.reject_unread()
+    if not (args.left and args.right):
         raise ConfigError("sequence needs --left and --right file patterns")
-    lefts = _expand_pattern(rc.left)
-    rights = _expand_pattern(rc.right)
+    lefts = _expand_pattern(args.left)
+    rights = _expand_pattern(args.right)
     if len(lefts) != len(rights):
         raise ConfigError(f"mismatched pair counts: {len(lefts)} left vs {len(rights)} right")
     _, final = _run(rc, _read_pairs(rc.rig, lefts, rights))
@@ -236,8 +222,17 @@ def cmd_sequence(rc: RunConfig) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", metavar="PATH", help="key=value configuration file")
-    sp.add_argument("--seed", type=int, metavar="N", help="override rng_seed")
     sp.add_argument("--out", default="out", metavar="DIR", help="output directory")
+
+
+def _add_run(sp: argparse.ArgumentParser, inputs: str) -> None:
+    """The flags of the commands that evolve a swarm."""
+    _add_common(sp)
+    sp.add_argument("--left", metavar=inputs)
+    sp.add_argument("--right", metavar=inputs)
+    sp.add_argument("--generations", type=int, metavar="N", help="generations per pair")
+    sp.add_argument("--population", type=int, metavar="N", help="override population_size")
+    sp.add_argument("--seed", type=int, metavar="N", help="override rng_seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,24 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synth", help="render a synthetic stereo pair plus ground truth")
     _add_common(sp)
     sp.add_argument("--preset", choices=PRESET_NAMES)
-    sp.set_defaults(func=cmd_synth, generations=1, default_generations=1)
+    sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("detect", help="evolve the swarm on one stereo pair")
-    _add_common(sp)
-    sp.add_argument("--left", metavar="PATH")
-    sp.add_argument("--right", metavar="PATH")
+    _add_run(sp, "PATH")
     sp.add_argument("--preset", choices=PRESET_NAMES, help="render this scene instead of reading files")
-    sp.add_argument("--generations", type=int, metavar="N")
-    sp.add_argument("--population", type=int, metavar="N")
-    sp.set_defaults(func=cmd_detect, default_generations=100)
+    sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("sequence", help="run on an ordered stereo-pair sequence")
-    _add_common(sp)
-    sp.add_argument("--left", metavar="PATTERN", help="left image file or glob")
-    sp.add_argument("--right", metavar="PATTERN")
-    sp.add_argument("--generations", type=int, metavar="N", help="generations per frame")
-    sp.add_argument("--population", type=int, metavar="N")
-    sp.set_defaults(func=cmd_sequence, default_generations=1)
+    _add_run(sp, "PATTERN")
+    sp.set_defaults(func=cmd_sequence)
 
     return parser
 
@@ -288,8 +275,7 @@ def main(argv=None) -> int:
     _keep_heap()
     args = build_parser().parse_args(argv)
     try:
-        rc = _build_run_config(args, args.default_generations)
-        code = args.func(rc)
+        code = args.func(args, KeyLog(load_config(args.config) if args.config else {}))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

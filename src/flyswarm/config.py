@@ -203,11 +203,11 @@ def warning_params_from_config(cfg: dict) -> WarningParams:
 
 
 @_config_errors
-def scene_from_config(cfg: dict) -> Scene | None:
-    """Scene description, or None when the config carries no scene keys."""
+def scene_from_config(cfg: dict) -> Scene:
+    """Scene description; a config that carries no scene keys has none."""
     scene_keys = ("obstacle", "ground_texture_seed", "background_grey", "ground_texture_cell_m")
     if not any(k in cfg for k in scene_keys):
-        return None
+        raise ConfigError("no scene: pass --preset or a config file with scene keys")
     obstacles = []
     for raw in cfg.get("obstacle", []):
         values = _numbers(raw)

@@ -1,4 +1,3 @@
-import argparse
 import io
 import os
 import platform
@@ -60,7 +59,8 @@ class TestConfig:
         assert (rig.intrinsics.image_width, rig.intrinsics.image_height) == (640, 480)
         assert evolution_params_from_config({}).population_size == 5000
         assert warning_params_from_config({}).max_range_m == 16.0
-        assert scene_from_config({}) is None
+        with pytest.raises(ConfigError, match="no scene"):
+            scene_from_config({})
 
     def test_params_from_config(self):
         cfg = parse_config_text("population_size = 100\nrng_seed = 9\nmutation_sigma = 0.1 0.1 0.2")
@@ -114,14 +114,58 @@ class TestConfig:
             evolution_params_from_config(parse_config_text("population_size = ,\n"))
 
 
-CONFIG_KEYS = (
-    "focal_length_px principal_point image_size baseline_m camera_height_m z_min_m z_max_m "
-    "population_size selection_ratio mutation_fraction crossover_fraction immigration_fraction "
-    "mutation_sigma neighborhood_radius sharing_cell_px sharing_exponent fitness_epsilon rng_seed "
-    "max_height_m min_height_m max_range_m x_clamp_m z_clamp_m "
-    "obstacle ground_texture_seed background_grey ground_texture_cell_m"
-).split()
-RUN_CONFIG_KEYS = ["generations"]
+KEY_GROUPS = {
+    "rig": "focal_length_px principal_point image_size baseline_m camera_height_m z_min_m z_max_m".split(),
+    "evolution": (
+        "population_size selection_ratio mutation_fraction crossover_fraction immigration_fraction "
+        "mutation_sigma neighborhood_radius sharing_cell_px sharing_exponent fitness_epsilon rng_seed"
+    ).split(),
+    "warning": "max_height_m min_height_m max_range_m x_clamp_m z_clamp_m".split(),
+    "scene": "obstacle ground_texture_seed background_grey ground_texture_cell_m".split(),
+    "run": ["generations"],
+}
+CONFIG_KEYS = [key for keys in KEY_GROUPS.values() for key in keys]
+EVOLVE_GROUPS = ("rig", "evolution", "warning", "run")
+# every way a command takes its scene or pairs, and the key groups it reads
+COMMAND_READS = {
+    ("synth", "--preset", "empty-road"): ("rig",),
+    ("synth",): ("rig", "scene"),
+    ("detect", "--preset", "empty-road"): EVOLVE_GROUPS,
+    ("detect", "--left", "l.pgm", "--right", "r.pgm"): EVOLVE_GROUPS,
+    ("detect",): EVOLVE_GROUPS + ("scene",),
+    ("sequence", "--left", "L_*.pgm", "--right", "R_*.pgm"): EVOLVE_GROUPS,
+}
+
+
+def group_keys(groups) -> set[str]:
+    return {key for group in groups for key in KEY_GROUPS[group]}
+
+
+class KeysChecked(Exception):
+    """Ends a command once its unread-key check has passed."""
+
+
+def check_keys(argv, cfg: dict) -> tuple[set[str], ConfigError | None]:
+    """Run ``argv``'s command on ``cfg`` up to its unread-key check, which it
+    makes before it renders, decodes or writes anything. Returns the keys it
+    looked up and the ConfigError it raised, if any."""
+    args = cli.build_parser().parse_args(list(argv))
+    log = KeyLog(cfg)
+
+    def checked():
+        KeyLog.reject_unread(log)
+        raise KeysChecked
+
+    log.reject_unread = checked
+    try:
+        args.func(args, log)
+    except KeysChecked:
+        return log.read, None
+    except ConfigError as exc:
+        return log.read, exc
+    raise AssertionError(f"{argv} ran without checking its keys")
+
+
 _number = st.one_of(
     st.integers(-5, 1000).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -129,7 +173,7 @@ _number = st.one_of(
 )
 _config_line = st.tuples(
     st.one_of(
-        st.sampled_from(CONFIG_KEYS + RUN_CONFIG_KEYS),
+        st.sampled_from(CONFIG_KEYS),
         st.sampled_from(["unknown_key", "populaton_size", "Baseline_m"]),
         st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,15}", fullmatch=True),
     ),
@@ -139,7 +183,7 @@ CONFIG_TEXT = st.one_of(st.text(max_size=60), st.lists(_config_line, max_size=6)
 
 
 @given(text=CONFIG_TEXT)
-def test_config_fuzz_yields_value_or_config_error(tmp_path_factory, text):
+def test_config_fuzz_yields_value_or_config_error(text):
     try:
         cfg = parse_config_text(text)
     except ConfigError:
@@ -149,45 +193,40 @@ def test_config_fuzz_yields_value_or_config_error(tmp_path_factory, text):
             build(cfg)
         except ConfigError:
             pass
-    # a whole run config is built, or fails naming an unknown key, exactly
-    # as the text holds no key or some key outside the documented ones
-    conf = tmp_path_factory.mktemp("conf") / "run.conf"
-    conf.write_text(text, encoding="utf-8")
-    unknown = set(cfg) - set(CONFIG_KEYS) - set(RUN_CONFIG_KEYS)
-    try:
-        cli._build_run_config(argparse.Namespace(config=str(conf), generations=None, out=str(conf.parent)), 1)
-    except ConfigError as exc:
-        if "unknown key" in str(exc):
-            assert any(str(exc) == f"unknown key {key!r}" for key in unknown)
-        return
-    assert not unknown
+    # each command passes its key check, or fails naming an unknown key,
+    # exactly as the text holds no key or some key outside the groups it reads
+    for argv, groups in COMMAND_READS.items():
+        unknown = set(cfg) - group_keys(groups)
+        _, error = check_keys(argv, cfg)
+        if error is None:
+            assert not unknown, argv
+        elif "unknown key" in str(error):
+            assert any(str(error) == f"unknown key {key!r}" for key in unknown), argv
 
 
-def keys_a_run_reads(monkeypatch, tmp_path):
+def test_documented_keys_are_the_keys_a_run_reads():
     # the readers are the only list of valid keys; with no config at all
-    # they still look up every key, the flag-overridden generations too
-    logs = []
-
-    class Recorded(KeyLog):
-        def __init__(self, cfg):
-            super().__init__(cfg)
-            logs.append(self)
-
-    monkeypatch.setattr(cli, "KeyLog", Recorded)
-    cli._build_run_config(argparse.Namespace(config=None, generations=5, out=str(tmp_path)), 1)
-    assert len(logs) == 1
-    return logs[0].read
+    # each command still looks up every key it reads, flag-overridden ones too
+    for argv, groups in COMMAND_READS.items():
+        read, _ = check_keys([*argv, "--generations", "5"] if "run" in groups else argv, {})
+        assert read == group_keys(groups), argv
+    assert set().union(*COMMAND_READS.values()) == set(KEY_GROUPS)
 
 
-def test_documented_keys_are_the_keys_a_run_reads(monkeypatch, tmp_path):
-    assert keys_a_run_reads(monkeypatch, tmp_path) == set(CONFIG_KEYS) | set(RUN_CONFIG_KEYS)
-
-
-def test_readme_lists_the_keys_a_run_reads(monkeypatch, tmp_path):
-    # every backticked lowercase identifier of the README's config section names a key
+def test_readme_lists_the_keys_a_run_reads():
+    # every backticked lowercase identifier of the README's config section
+    # names a key, and each group's bullet names the commands that read it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration file\n", 1)[1].split("\n## ", 1)[0]
-    assert set(re.findall(r"`([a-z][a-z0-9_]*)`", section)) == keys_a_run_reads(monkeypatch, tmp_path)
+    reads = {argv: check_keys(argv, {})[0] for argv in COMMAND_READS}
+    assert set(re.findall(r"`([a-z][a-z0-9_]*)`", section)) == set().union(*reads.values())
+    bullets = {b.split(",", 1)[0]: b.split("\n\n", 1)[0] for b in section.split("\n- ")[1:]}
+    assert set(bullets) == set(KEY_GROUPS)
+    for group, keys in KEY_GROUPS.items():
+        head, listed = bullets[group].split(":", 1)
+        assert set(re.findall(r"`([a-z][a-z0-9_]*)`", listed)) == set(keys)
+        readers = {argv[0] for argv, read in reads.items() if set(keys) <= read}
+        assert set(re.findall(r"\b(synth|detect|sequence)\b", head)) == readers, group
 
 
 class TestSynthCommand:
@@ -488,6 +527,71 @@ class TestFailureContract:
         assert err == b""
 
 
+SMALL_RIG = "image_size = 64, 64\nfocal_length_px = 80\nprincipal_point = 32, 32\nbaseline_m = 0.2\n"
+OBSTACLE = "obstacle = 0, 0, 5, 1, 1, 3"
+
+
+class TestKeysPerCommand:
+    """A command reads the keys it uses; any other key exits 2 before any output."""
+
+    def run(self, tmp_path, capsys, argv, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(SMALL_RIG)
+        pair = tmp_path / "pair"
+        assert main(["synth", "--preset", "pedestrian-4m", "--config", str(conf), "--out", str(pair)]) == 0
+        conf.write_text(SMALL_RIG + line + "\n")
+        argv = [arg.replace("PAIR", str(pair)) for arg in argv] + ["--config", str(conf), "--out", str(tmp_path / "out")]
+        if argv[0] != "synth":
+            argv += ["--population", "64"]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["synth", "--preset", "empty-road"], "population_size = 7"),
+            (["synth", "--preset", "empty-road"], OBSTACLE),
+            (["detect", "--preset", "pedestrian-4m", "--generations", "1"], OBSTACLE),
+            (["detect", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm", "--generations", "1"], OBSTACLE),
+            (["sequence", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm"], OBSTACLE),
+        ],
+        ids=["synth-evolution-key", "synth-preset-scene-key", "detect-preset-scene-key", "detect-files-scene-key", "sequence-scene-key"],
+    )
+    def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, argv, line):
+        # each was looked up by a reader the command never uses, then ignored with exit 0
+        code, out, err = self.run(tmp_path, capsys, argv, line)
+        assert code == 2
+        assert out == ""
+        assert err == f"flyswarm: error: unknown key {line.split()[0]!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, line, lines_out",
+        [
+            # without --preset or files, detect renders the scene the config describes
+            (["detect", "--generations", "1"], OBSTACLE, 2),
+            (["sequence", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm"], "generations = 2", 3),
+        ],
+        ids=["detect-scene-key", "sequence-run-key"],
+    )
+    def test_key_the_command_reads_is_accepted(self, tmp_path, capsys, argv, line, lines_out):
+        code, out, err = self.run(tmp_path, capsys, argv, line)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == lines_out
+
+    def test_synth_takes_no_seed(self, tmp_path, capsys):
+        # synth draws no random numbers, so its --seed changed no byte
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--preset", "empty-road", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 1" in captured.err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSequenceCommand:
     def test_constant_scene_trace_stabilizes(self, tmp_path):
         pair = tmp_path / "pair"
@@ -662,7 +766,7 @@ _small_number = st.one_of(
 )
 _main_line = st.one_of(
     st.tuples(
-        st.sampled_from(CONFIG_KEYS + RUN_CONFIG_KEYS + ["unknown_key"]),
+        st.sampled_from(CONFIG_KEYS + ["unknown_key"]),
         st.lists(_small_number, max_size=7).map(", ".join),
     ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.text(max_size=10),
@@ -674,19 +778,27 @@ _main_line = st.one_of(
     lines=st.lists(_main_line, max_size=4),
     side=st.integers(3, 64),
     population=st.integers(-1, 64),
-    command=st.sampled_from(["detect", "synth"]),
+    command=st.sampled_from(["detect", "sequence", "synth"]),
 )
 def test_main_fuzz_exits_0_or_2(tmp_path_factory, lines, side, population, command):
     # a small rig leads, so an image_size line among the fuzzed ones repeats the key
     rig = f"image_size = {side}, {side}\nprincipal_point = {side / 2}, {side / 2}\nfocal_length_px = {side}"
     work = tmp_path_factory.mktemp("fuzz")
     conf = work / "run.conf"
-    conf.write_text("\n".join([rig, *lines]))
-    argv = [command, "--preset", "pedestrian-4m", "--config", str(conf), "--out", str(work / "out")]
-    if command == "detect":
+    conf.write_text(rig)
+    argv = [command, "--preset", "pedestrian-4m"]
+    if command == "sequence":
+        assert main(["synth", *argv[1:], "--config", str(conf), "--out", str(work / "pair")]) == 0
+        argv = [command, "--left", str(work / "pair" / "left.pgm"), "--right", str(work / "pair" / "right.pgm")]
+    if command != "synth":
         argv += ["--population", str(population), "--generations", "1"]
-    code = main(argv)
+    conf.write_text("\n".join([rig, *lines]))
+    code = main(argv + ["--config", str(conf), "--out", str(work / "out")])
     assert code in (0, 2)
-    if code == 2:
+    if code == 0:
+        # a run that goes ahead reads every key its config holds
+        reads = ("rig",) if command == "synth" else EVOLVE_GROUPS
+        assert set(parse_config_text(conf.read_text())) <= group_keys(reads)
+    else:
         # rejected input is rejected before any output file is written
         assert not [p for p in (work / "out").rglob("*") if p.is_file()]

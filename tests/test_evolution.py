@@ -629,7 +629,9 @@ class TestGenerationTiming:
 def test_offspring_counts_default_mix():
     params = EvolutionParams()
     assert _offspring_counts(params, 3000) == (1500, 1200, 300)
-    assert sum(_offspring_counts(params, 7)) == 7
+    # an odd slot count pins the rounding: 3.5 and 2.8 round to 4 and 3,
+    # where truncation would give (3, 2, 2)
+    assert _offspring_counts(params, 7) == (4, 3, 0)
 
 
 def test_params_validation():
