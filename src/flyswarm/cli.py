@@ -1,9 +1,11 @@
 """Command-line pipeline: synth, detect, sequence.
 
 Each command reads only the config keys it uses: ``synth`` the rig and
-scene keys; ``detect`` and ``sequence`` the rig, evolution, warning and
-``generations`` keys, and ``detect`` the scene keys too when it renders
-its pair from the config (neither ``--preset`` nor ``--left``/``--right``).
+scene keys; ``detect`` and ``sequence`` the rig, evolution and warning
+keys, and ``detect`` the scene keys too when it renders its pair from the
+config (neither ``--preset`` nor ``--left``/``--right``). The number of
+generations per pair is set by ``--generations`` alone (default 100 for
+``detect``, 1 for ``sequence``).
 detect/sequence print one `generation,global_warning` CSV line per
 generation to stdout, then the final global warning on its own line.
 Both run one ``evolution.Swarm`` over their pairs (``sequence`` decodes
@@ -11,7 +13,7 @@ each pair only when the run reaches it) and always write
 ``warning_trace.csv`` and ``flies.csv``; ``detect`` also writes
 ``overlay_left.ppm`` and ``overlay_right.ppm``, a red cross on each of the
 OVERLAY_TOP_K flies of highest shared fitness, ties to the lower index.
-All outputs are deterministic for a fixed seed. Rejected input (flag and
+All outputs are deterministic for a fixed seed. Rejected input (flags,
 config values, a config key the command does not read, PNM bytes, sizes
 too large to allocate) ends in exit code 2 and a one-line message on
 stderr before any output. A reader that closes stdout early ends the run
@@ -35,13 +37,12 @@ from .config import (
     ConfigError,
     KeyLog,
     evolution_params_from_config,
-    get_int,
     load_config,
     rig_from_config,
     scene_from_config,
     warning_params_from_config,
 )
-from .evolution import EvolutionParams, Population, Swarm, elite
+from .evolution import EvolutionParams, Population, Swarm, check_rig_match, elite
 from .imaging import Image, read_pnm, write_pnm
 from .stereo_geometry import StereoRig, project_many
 from .synth import PRESET_NAMES, Scene, preset_scene, render_stereo_pair
@@ -64,16 +65,12 @@ class RunConfig:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
 
 
-def _run_config(args, cfg: KeyLog, default_generations: int) -> RunConfig:
-    """The rig, evolution, warning and generations keys, with the flags over them."""
+def _run_config(args, cfg: KeyLog) -> RunConfig:
+    """The rig, evolution and warning keys, with the flags over them."""
     rig, evo = rig_from_config(cfg), evolution_params_from_config(cfg)
     flags = {"population_size": args.population, "rng_seed": args.seed}
     evo = replace(evo, **{key: value for key, value in flags.items() if value is not None})
-    # read even when the flag overrides it, so the key counts as known
-    generations = get_int(cfg, "generations", default_generations)
-    if args.generations is not None:
-        generations = args.generations
-    return RunConfig(rig, evo, warning_params_from_config(cfg), generations, Path(args.out))
+    return RunConfig(rig, evo, warning_params_from_config(cfg), args.generations, Path(args.out))
 
 
 def _render(args, cfg: KeyLog, rig: StereoRig) -> tuple[Scene, Image, Image]:
@@ -84,19 +81,10 @@ def _render(args, cfg: KeyLog, rig: StereoRig) -> tuple[Scene, Image, Image]:
     return (scene, *render_stereo_pair(scene, rig))
 
 
-def _check_rig_match(image: Image, rig: StereoRig, name: str) -> Image:
-    if (image.width, image.height) != (rig.intrinsics.image_width, rig.intrinsics.image_height):
-        raise ConfigError(
-            f"{name} image is {image.width}x{image.height} but the rig expects "
-            f"{rig.intrinsics.image_width}x{rig.intrinsics.image_height}"
-        )
-    return image
-
-
 def _read_pairs(rig: StereoRig, lefts: list[str], rights: list[str]) -> Iterator[tuple[Image, Image]]:
     """Decode and rig-check each pair only when the run loop asks for it."""
     for lp, rp in zip(lefts, rights):
-        yield _check_rig_match(read_pnm(lp), rig, lp), _check_rig_match(read_pnm(rp), rig, rp)
+        yield check_rig_match(read_pnm(lp), rig, lp), check_rig_match(read_pnm(rp), rig, rp)
 
 
 def _expand_pattern(pattern: str) -> list[str]:
@@ -190,7 +178,7 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
 
 
 def cmd_detect(args, cfg: KeyLog) -> int:
-    rc = _run_config(args, cfg, default_generations=100)
+    rc = _run_config(args, cfg)
     if args.left or args.right:
         if args.preset:
             raise ConfigError("--preset and --left/--right are two scenes; pass one of them")
@@ -207,7 +195,7 @@ def cmd_detect(args, cfg: KeyLog) -> int:
 
 
 def cmd_sequence(args, cfg: KeyLog) -> int:
-    rc = _run_config(args, cfg, default_generations=1)
+    rc = _run_config(args, cfg)
     cfg.reject_unread()
     if not (args.left and args.right):
         raise ConfigError("sequence needs --left and --right file patterns")
@@ -225,18 +213,25 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="out", metavar="DIR", help="output directory")
 
 
-def _add_run(sp: argparse.ArgumentParser, inputs: str) -> None:
+def _add_run(sp: argparse.ArgumentParser, inputs: str, generations: int) -> None:
     """The flags of the commands that evolve a swarm."""
     _add_common(sp)
     sp.add_argument("--left", metavar=inputs)
     sp.add_argument("--right", metavar=inputs)
-    sp.add_argument("--generations", type=int, metavar="N", help="generations per pair")
+    sp.add_argument("--generations", type=int, default=generations, metavar="N", help="generations per pair")
     sp.add_argument("--population", type=int, metavar="N", help="override population_size")
     sp.add_argument("--seed", type=int, metavar="N", help="override rng_seed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so ``main`` reports them like any other bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flyswarm",
         description="Fly-swarm stereo obstacle detection on synthetic or recorded stereo pairs.",
     )
@@ -248,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("detect", help="evolve the swarm on one stereo pair")
-    _add_run(sp, "PATH")
+    _add_run(sp, "PATH", generations=100)
     sp.add_argument("--preset", choices=PRESET_NAMES, help="render this scene instead of reading files")
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("sequence", help="run on an ordered stereo-pair sequence")
-    _add_run(sp, "PATTERN")
+    _add_run(sp, "PATTERN", generations=1)
     sp.set_defaults(func=cmd_sequence)
 
     return parser
@@ -273,8 +268,8 @@ def _keep_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_heap()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args, KeyLog(load_config(args.config) if args.config else {}))
         sys.stdout.flush()
         return code

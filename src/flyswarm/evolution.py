@@ -175,13 +175,24 @@ class StereoFrame:
         self.serial = next(_FRAME_SERIALS)
 
 
+def check_rig_match(image: Image, rig: StereoRig, name: str) -> Image:
+    """``image``, or a ValueError naming it if its size is not the rig's."""
+    w, h = rig.intrinsics.image_width, rig.intrinsics.image_height
+    if (image.width, image.height) != (w, h):
+        raise ValueError(f"{name} image is {image.width}x{image.height} but the rig expects {w}x{h}")
+    return image
+
+
 def evaluate_population(population: Population, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> None:
     """Raw fitness for every fly; 0 for flies whose windows leave either image.
 
     Every step of the score is per fly, so rows already scored on this
     frame, rig, radius and epsilon (the survivors of ``select_and_refill``)
-    keep their bits and only the rows after them are scored.
+    keep their bits and only the rows after them are scored. A frame of
+    another size than the rig's is a ValueError.
     """
+    check_rig_match(frame.left, rig, "left")
+    check_rig_match(frame.right, rig, "right")
     key = (frame.serial, rig, params.neighborhood_radius, params.fitness_epsilon)
     start = population.scored_rows if population.score_key == key else 0
     population.raw_fitness[start:] = _raw_fitness(population.positions[start:], frame, rig, params)
@@ -274,9 +285,7 @@ def apply_sharing(population: Population, rig: StereoRig, params: EvolutionParam
     cy = np.rint(np.clip(v, -cell, h - 1 + cell)).astype(np.int64) // cell + 1
     key = cy * ((w - 1 + cell) // cell + 2) + cx
     occupancy = np.bincount(key)[key].astype(np.float64)
-    if params.sharing_exponent != 1.0:
-        occupancy = occupancy**params.sharing_exponent
-    population.shared_fitness[:] = population.raw_fitness / occupancy
+    population.shared_fitness[:] = population.raw_fitness / occupancy**params.sharing_exponent
     population.shared_fitness[population.penalized] = 0.0
 
 
@@ -343,16 +352,10 @@ def mutate(parents: np.ndarray, rig: StereoRig, params: EvolutionParams, rng: np
 
 
 def _offspring_counts(params: EvolutionParams, slots: int) -> tuple[int, int, int]:
-    n_cross = int(round(params.crossover_fraction * slots))
-    n_mut = int(round(params.mutation_fraction * slots))
-    n_imm = slots - n_cross - n_mut
-    if n_imm < 0:
-        n_mut += n_imm
-        n_imm = 0
-        if n_mut < 0:
-            n_cross += n_mut
-            n_mut = 0
-    return n_cross, n_mut, n_imm
+    n_cross = round(params.crossover_fraction * slots)
+    # the two roundings can overdraw the slots by one; mutation gives it back
+    n_mut = min(round(params.mutation_fraction * slots), slots - n_cross)
+    return n_cross, n_mut, slots - n_cross - n_mut
 
 
 def select_and_refill(

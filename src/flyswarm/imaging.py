@@ -8,8 +8,6 @@ coordinates follow the (column, row) convention of stereo_geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -21,26 +19,22 @@ class PnmParseError(ValueError):
     """Malformed PGM/PPM input; the message names the byte offset."""
 
 
-@dataclass(eq=False)
 class Image:
-    width: int
-    height: int
-    channels: int
-    samples: np.ndarray  # uint8, (H, W) or (H, W, 3)
+    """One raster; its width, height and channel count are read off the samples."""
 
-    def __post_init__(self):
-        expected = (self.height, self.width) if self.channels == 1 else (self.height, self.width, self.channels)
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
-        if self.samples.dtype != np.uint8:
-            raise ValueError(f"samples must be uint8, got {self.samples.dtype}")
-        if self.samples.shape != expected:
-            raise ValueError(f"samples shape {self.samples.shape} does not match {expected}")
+    def __init__(self, samples: np.ndarray):
+        if samples.dtype != np.uint8:
+            raise ValueError(f"samples must be uint8, got {samples.dtype}")
+        if samples.ndim not in (2, 3) or samples.shape[2:] not in ((), (3,)):
+            raise ValueError(f"expected (H, W) or (H, W, 3) array, got shape {samples.shape}")
         # the fitness gathers each fly's windows from a flat view of the
         # samples, which strided samples would turn into a full-frame copy
         # on every evaluation
-        if not self.samples.flags.c_contiguous:
+        if not samples.flags.c_contiguous:
             raise ValueError("samples must be C-contiguous; build the image with Image.from_array")
+        self.samples = samples
+        self.height, self.width = samples.shape[:2]
+        self.channels = 1 if samples.ndim == 2 else 3
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Image":
@@ -50,11 +44,7 @@ class Image:
                 a = a.astype(np.uint8)
             else:
                 raise ValueError("array must hold integer samples in [0, 255]")
-        if a.ndim == 2:
-            return cls(a.shape[1], a.shape[0], 1, a)
-        if a.ndim == 3 and a.shape[2] == 3:
-            return cls(a.shape[1], a.shape[0], 3, a)
-        raise ValueError(f"expected (H, W) or (H, W, 3) array, got shape {a.shape}")
+        return cls(a)
 
 
 def _next_token(data: bytes, pos: int):
@@ -110,7 +100,7 @@ def load_pnm(data: bytes) -> Image:
         raise PnmParseError(f"truncated pixel data at offset {pos}: need {need} bytes, have {have}")
     flat = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     shape = (height, width) if channels == 1 else (height, width, 3)
-    return Image(width, height, channels, flat.reshape(shape))
+    return Image(flat.reshape(shape))
 
 
 def save_pnm(image: Image) -> bytes:

@@ -23,7 +23,7 @@ from flyswarm.config import (
     scene_from_config,
     warning_params_from_config,
 )
-from flyswarm.imaging import read_pnm
+from flyswarm.imaging import Image, read_pnm
 
 
 def read_csv(path):
@@ -122,10 +122,9 @@ KEY_GROUPS = {
     ).split(),
     "warning": "max_height_m min_height_m max_range_m x_clamp_m z_clamp_m".split(),
     "scene": "obstacle ground_texture_seed background_grey ground_texture_cell_m".split(),
-    "run": ["generations"],
 }
 CONFIG_KEYS = [key for keys in KEY_GROUPS.values() for key in keys]
-EVOLVE_GROUPS = ("rig", "evolution", "warning", "run")
+EVOLVE_GROUPS = ("rig", "evolution", "warning")
 # every way a command takes its scene or pairs, and the key groups it reads
 COMMAND_READS = {
     ("synth", "--preset", "empty-road"): ("rig",),
@@ -208,7 +207,7 @@ def test_documented_keys_are_the_keys_a_run_reads():
     # the readers are the only list of valid keys; with no config at all
     # each command still looks up every key it reads, flag-overridden ones too
     for argv, groups in COMMAND_READS.items():
-        read, _ = check_keys([*argv, "--generations", "5"] if "run" in groups else argv, {})
+        read, _ = check_keys([*argv, "--population", "5", "--seed", "5"] if "evolution" in groups else argv, {})
         assert read == group_keys(groups), argv
     assert set().union(*COMMAND_READS.values()) == set(KEY_GROUPS)
 
@@ -357,7 +356,7 @@ class TestDetectCommand:
         assert got == expected
 
     def test_markers_are_clipped_to_the_image(self):
-        base = flyswarm.Image.from_array(np.zeros((4, 5), dtype=np.uint8))
+        base = Image.from_array(np.zeros((4, 5), dtype=np.uint8))
         # rounded centres (0, 0), (4, 3), (5, 1) just right of the image, (-2, 9) far outside
         marked = cli._draw_markers(base, np.array([0.4, 3.6, 5.0, -2.0]), np.array([-0.4, 3.2, 1.0, 9.0]))
         red = {(u, v) for v, u in zip(*np.nonzero(marked.samples[:, :, 0]))}
@@ -556,8 +555,17 @@ class TestKeysPerCommand:
             (["detect", "--preset", "pedestrian-4m", "--generations", "1"], OBSTACLE),
             (["detect", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm", "--generations", "1"], OBSTACLE),
             (["sequence", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm"], OBSTACLE),
+            # --generations is the one way to set the count
+            (["sequence", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm"], "generations = 2"),
         ],
-        ids=["synth-evolution-key", "synth-preset-scene-key", "detect-preset-scene-key", "detect-files-scene-key", "sequence-scene-key"],
+        ids=[
+            "synth-evolution-key",
+            "synth-preset-scene-key",
+            "detect-preset-scene-key",
+            "detect-files-scene-key",
+            "sequence-scene-key",
+            "sequence-generations-key",
+        ],
     )
     def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, argv, line):
         # each was looked up by a reader the command never uses, then ignored with exit 0
@@ -572,9 +580,8 @@ class TestKeysPerCommand:
         [
             # without --preset or files, detect renders the scene the config describes
             (["detect", "--generations", "1"], OBSTACLE, 2),
-            (["sequence", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm"], "generations = 2", 3),
         ],
-        ids=["detect-scene-key", "sequence-run-key"],
+        ids=["detect-scene-key"],
     )
     def test_key_the_command_reads_is_accepted(self, tmp_path, capsys, argv, line, lines_out):
         code, out, err = self.run(tmp_path, capsys, argv, line)
@@ -583,12 +590,10 @@ class TestKeysPerCommand:
 
     def test_synth_takes_no_seed(self, tmp_path, capsys):
         # synth draws no random numbers, so its --seed changed no byte
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--preset", "empty-road", "--seed", "1", "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
+        assert main(["synth", "--preset", "empty-road", "--seed", "1", "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --seed 1" in captured.err
+        assert captured.err == "flyswarm: error: unrecognized arguments: --seed 1\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -751,10 +756,35 @@ def test_new_frames_do_not_page_fault(tmp_path):
 
 
 def test_bench_is_an_unknown_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench"])
-    assert exc.value.code == 2
+    assert main(["bench"]) == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--preset", "empty-road", "--seed", "5"],
+        ["detect", "--preset", "empty-road", "--generations", "abc"],
+        ["sequence", "--left", "L_*.pgm", "--right", "R_*.pgm", "--population", "1.5"],
+        [],
+    ],
+    ids=["unknown-flag", "bad-generations", "bad-population", "no-command"],
+)
+def test_usage_error_is_one_line(tmp_path, capsys, argv):
+    # argparse used to print its usage line above the error, and a
+    # subcommand's error under the subcommand's own prog name
+    assert main([*argv, "--out", str(tmp_path / "out")] if argv else []) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("flyswarm: error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--help"])
+    assert exc.value.code == 0
+    assert "--generations N" in capsys.readouterr().out
 
 
 # bounded, so that no example renders or evolves more than a 64x64 pair

@@ -85,6 +85,20 @@ class TestFitness:
                 oracle = naive_fitness(pts[i], left, right, grad_left, grad_right, session_rig, default_params)
                 assert got[i] == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "frame_size, rig_size", [((320, 240), (640, 480)), ((640, 480), (320, 240))], ids=["smaller-frame", "larger-frame"]
+    )
+    def test_frame_of_another_size_than_the_rig_is_rejected(self, frame_size, rig_size):
+        # the flies project onto the rig's raster: a smaller frame ended in
+        # an IndexError, a larger one in a run that read the wrong pixels
+        (w, h), (rig_w, rig_h) = frame_size, rig_size
+        image = Image.from_array(np.random.default_rng(5).integers(0, 256, (h, w), dtype=np.uint8))
+        rig = StereoRig(CameraIntrinsics(rig_w * 500 / 640, (rig_w / 2, rig_h / 2), rig_w, rig_h), baseline_m=0.4)
+        swarm = Swarm(rig, EvolutionParams(population_size=200))
+        swarm.feed(image, image)
+        with pytest.raises(ValueError, match=f"left image is {w}x{h} but the rig expects {rig_w}x{rig_h}"):
+            swarm.step()
+
     def test_intensity_shift_leaves_fitness(self, session_rig, default_params, pedestrian_pair):
         left, right = pedestrian_pair
         shifted_l = Image.from_array(left.samples + 25)
@@ -355,12 +369,13 @@ class TestSharing:
         apply_sharing(pop, default_rig, default_params)
         assert np.all(pop.shared_fitness <= pop.raw_fitness + 1e-15)
 
-    def test_exponent(self, default_rig):
-        params = EvolutionParams(sharing_exponent=2.0)
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 2.0])
+    def test_exponent(self, default_rig, exponent):
+        # four flies on one point share one cell; 4 ** exponent is exact
         pop = Population(np.tile([0.0, 0.0, 5.0], (4, 1)))
-        pop.raw_fitness[:] = 16.0
-        apply_sharing(pop, default_rig, params)
-        assert np.all(pop.shared_fitness == 1.0)
+        pop.raw_fitness[:] = np.random.default_rng(3).uniform(0.0, 100.0, 4)
+        apply_sharing(pop, default_rig, EvolutionParams(sharing_exponent=exponent))
+        assert pop.shared_fitness.tobytes() == (pop.raw_fitness / 4.0**exponent).tobytes()
 
 
 def _tied_fitness() -> list[float]:
@@ -614,16 +629,52 @@ def mean_generation_ms(rig, pair, population: int, generations: int) -> float:
     return float(np.mean(durations)) * 1e3
 
 
+def interleaved_generation_ms(rig, pair, populations, generations: int) -> list[float]:
+    """Median wall time of ``Swarm.step`` per population after two warmup
+    generations; the swarms step in turn, so each sees the same load."""
+    swarms = [Swarm(rig, EvolutionParams(population_size=n, rng_seed=1)) for n in populations]
+    for swarm in swarms:
+        swarm.feed(*pair)
+    durations = [[] for _ in swarms]
+    for _ in range(2 + generations):
+        for swarm, times in zip(swarms, durations):
+            t0 = time.perf_counter()
+            swarm.step()
+            times.append(time.perf_counter() - t0)
+    return [float(np.median(times[2:])) * 1e3 for times in durations]
+
+
 class TestGenerationTiming:
     def test_population_scaling(self, session_rig, pedestrian_pair):
-        small = mean_generation_ms(session_rig, pedestrian_pair, 5000, 15)
-        big = mean_generation_ms(session_rig, pedestrian_pair, 10000, 15)
+        small, big = interleaved_generation_ms(session_rig, pedestrian_pair, (5000, 10000), 40)
         assert 1.4 <= big / small <= 3.0
 
     def test_repeat_stability(self, session_rig, pedestrian_pair):
         a = mean_generation_ms(session_rig, pedestrian_pair, 2000, 20)
         b = mean_generation_ms(session_rig, pedestrian_pair, 2000, 20)
         assert abs(a - b) / max(a, b) < 0.35
+
+
+@st.composite
+def offspring_fractions(draw) -> tuple[float, float, float]:
+    """Crossover, mutation and immigration fractions that sum to 1."""
+    crossover = draw(st.floats(0.0, 1.0))
+    mutation = draw(st.floats(0.0, 1.0 - crossover))
+    return crossover, mutation, 1.0 - crossover - mutation
+
+
+@given(fractions=offspring_fractions(), slots=st.integers(0, 10_000))
+@example(fractions=(0.5, 0.5, 0.0), slots=7)  # 3.5 and 3.5 both round to 4
+def test_offspring_counts_fill_the_slots(fractions, slots):
+    c, m, i = fractions
+    counts = _offspring_counts(EvolutionParams(crossover_fraction=c, mutation_fraction=m, immigration_fraction=i), slots)
+    n_cross, n_mut, n_imm = counts
+    assert min(counts) >= 0 and sum(counts) == slots
+    assert n_cross == round(c * slots)
+    if round(c * slots) + round(m * slots) <= slots:
+        assert n_mut == round(m * slots)
+    else:
+        assert n_imm == 0
 
 
 def test_offspring_counts_default_mix():

@@ -54,7 +54,7 @@ class TestPnm:
         # pixels than the same pixels in C order
         strided = np.random.default_rng(0).integers(0, 256, (3, 64, 48), dtype=np.uint8).transpose(2, 1, 0)
         with pytest.raises(ValueError, match="C-contiguous"):
-            Image(64, 48, 3, strided)
+            Image(strided)
         assert Image.from_array(strided).samples.flags.c_contiguous
 
     def test_non_numeric_header(self):
