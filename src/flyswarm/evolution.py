@@ -26,6 +26,9 @@ over uniform regions are killed by the gradient product.
 The swarm only ever looks at the pixels its flies project onto, and so
 does the code: a ``StereoFrame`` holds the two uint8 images, and each
 new fly gathers one uint8 window per view around its projection. The
+window is read as its 2m+1 rows: the flat samples are viewed as
+overlapping runs of 2m+1 pixels, one void item per starting sample, and
+one fancy index per view fetches every new fly's rows at once. The
 Sobel norm comes from the window's central 3x3 and the SSD from its
 central neighborhood, summed in integers. Both give the same bits as
 a full-frame Sobel map and a float64 SSD, so a new frame costs no
@@ -63,10 +66,6 @@ MUTATION_RESAMPLE_LIMIT = 8
 DEFAULT_SIGMA_FRACTION = 0.001
 
 _LUMA = np.asarray(LUMA_WEIGHTS)
-
-# Flies per block of SSD windows: bounds the int64 index and integer
-# difference temporaries to a block instead of the whole batch.
-_BLOCK = 1024
 
 # Serial number of each StereoFrame: a population's cached scores name the
 # frame by it, so they neither keep a dead frame alive nor match a new
@@ -217,29 +216,28 @@ def _raw_fitness(positions: np.ndarray, frame: StereoFrame, rig: StereoRig, para
         # a visible centre may lie on the 1 px border, where the reference
         # Sobel norm is 0; such a fly scores 0 and its window is never read
         scored &= (np.minimum(iu_l, iu_r) >= 1) & (np.maximum(iu_l, iu_r) <= w - 2) & (iv >= 1) & (iv <= h - 2)
-    row = np.where(scored, iv, m) * w
-    centre_l = row + np.where(scored, iu_l, m)
-    centre_r = row + np.where(scored, iu_r, m)
-
     # one (2m+1)^2 uint8 window per fly and view, pixel-major, channels
-    # last; the SSD reads its central (2n+1)^2 pixels, summed in integers,
-    # which is exact; int32 holds the sum unless the window is huge
-    span = np.arange(-m, m + 1, dtype=np.int64)
-    window = ((span[:, None] * w + span[None, :]).reshape(-1, 1) * c + np.arange(c)).ravel()
+    # last, read as its 2m+1 rows: each view's flat samples seen as one
+    # void item of 2m+1 pixels per starting sample. The window around
+    # (iu, iv) starts at pixel (iv - m) * w + iu - m; an unscored fly
+    # reads the window at the origin. A start past the last full run is
+    # an IndexError, not a read beyond the frame.
+    k = 2 * m + 1
+    corners = np.where(scored, np.stack([iu_l, iu_r]) + ((iv - m) * w - m), 0) * c
+    starts = corners[:, :, None] + np.arange(k) * (w * c)
+    run = np.dtype((np.void, k * c))
+    rows = [np.ndarray((w * h * c - k * c + 1,), run, im.samples, strides=(1,)) for im in (frame.left, frame.right)]
+    win = np.concatenate((rows[0][starts[0]], rows[1][starts[1]])).view(np.uint8)  # left, then right
+    # the SSD reads the central (2n+1)^2 pixels, summed in integers, which
+    # is exact; int32 holds the sum unless the window is huge
     cols = slice(None) if n else slice(4 * c, 5 * c)
-    acc = np.int32 if window.size * 255**2 < 2**31 else np.int64
-    left, right = frame.left.samples.reshape(-1), frame.right.samples.reshape(-1)
-    win = np.empty((2, len(positions), window.size), dtype=np.uint8)  # left, right
-    ssd = np.empty(len(positions), dtype=np.int64)
-    for start in range(0, len(positions), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        np.take(left, centre_l[block, None] * c + window, out=win[0, block])
-        np.take(right, centre_r[block, None] * c + window, out=win[1, block])
-        diff = np.subtract(win[0, block, cols], win[1, block, cols], dtype=acc)
-        ssd[block] = np.einsum("nk,nk->n", diff, diff)
+    acc = np.int32 if win.shape[1] * 255**2 < 2**31 else np.int64
+    count = len(positions)
+    diff = np.subtract(win[:count, cols], win[count:, cols], dtype=acc)
+    ssd = np.einsum("nk,nk->n", diff, diff)
     # one Sobel pass over both views and the whole batch
-    norms = _sobel_norm(win.reshape(-1, window.size), m, c)
-    numerator = norms[: len(positions)] * norms[len(positions) :]
+    norms = _sobel_norm(win, m, c)
+    numerator = norms[:count] * norms[count:]
     return np.where(scored, numerator / (params.fitness_epsilon + ssd), 0.0)
 
 
@@ -339,14 +337,13 @@ def mutate(parents: np.ndarray, rig: StereoRig, params: EvolutionParams, rng: np
     # rng.normal(0.0, sigma)'s own formula and draws, off its broadcast
     # path; the 0.0 + keeps a -0.0 coordinate on a zero-sigma axis as 0.0
     out = parents + (0.0 + sigma * rng.standard_normal(parents.shape))
-    bad = ~vol.contains(out)
+    bad = np.flatnonzero(~vol.contains(out))  # ascending, so redrawn in row order
     for _ in range(MUTATION_RESAMPLE_LIMIT):
-        if not bad.any():
+        if not bad.size:
             break
-        idx = np.flatnonzero(bad)
-        out[idx] = parents[idx] + (0.0 + sigma * rng.standard_normal((idx.size, 3)))
-        bad[idx] = ~vol.contains(out[idx])
-    if bad.any():
+        out[bad] = parents[bad] + (0.0 + sigma * rng.standard_normal((bad.size, 3)))
+        bad = bad[~vol.contains(out[bad])]
+    if bad.size:
         out[bad] = vol.clamp(out[bad])
     return out
 

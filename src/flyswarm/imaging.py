@@ -27,9 +27,8 @@ class Image:
             raise ValueError(f"samples must be uint8, got {samples.dtype}")
         if samples.ndim not in (2, 3) or samples.shape[2:] not in ((), (3,)):
             raise ValueError(f"expected (H, W) or (H, W, 3) array, got shape {samples.shape}")
-        # the fitness gathers each fly's windows from a flat view of the
-        # samples, which strided samples would turn into a full-frame copy
-        # on every evaluation
+        # the fitness reads each fly's window rows through a view of the
+        # samples as one flat buffer, which strided samples do not have
         if not samples.flags.c_contiguous:
             raise ValueError("samples must be C-contiguous; build the image with Image.from_array")
         self.samples = samples

@@ -136,12 +136,11 @@ class SearchVolume:
         u0, v0 = K.principal_point
         self.rig = rig
         self.margin = margin
+        # x_lo, y_lo, x_hi, y_hi at depth z are z * slope + offset
+        H, W = K.image_height, K.image_width
+        self._slopes = np.array([margin - u0, v0 - (H - 1 - margin), W - 1 - margin - u0, v0 - margin]) / f
         half_b = 0.5 * rig.baseline_m
-        self._x_lo_slope = (margin - u0) / f
-        self._x_hi_slope = (K.image_width - 1 - margin - u0) / f
-        self._y_lo_slope = (v0 - (K.image_height - 1 - margin)) / f
-        self._y_hi_slope = (v0 - margin) / f
-        self._half_b = half_b
+        self._offsets = np.array([half_b, 0.0, -half_b, 0.0])
         if self.x_bounds(rig.z_min_m)[0] > self.x_bounds(rig.z_min_m)[1]:
             raise ValueError(
                 "fields of view do not intersect at z_min_m "
@@ -154,11 +153,11 @@ class SearchVolume:
 
     def x_bounds(self, z):
         z = np.asarray(z, dtype=np.float64)
-        return z * self._x_lo_slope + self._half_b, z * self._x_hi_slope - self._half_b
+        return z * self._slopes[0] + self._offsets[0], z * self._slopes[2] + self._offsets[2]
 
     def y_bounds(self, z):
         z = np.asarray(z, dtype=np.float64)
-        return z * self._y_lo_slope, z * self._y_hi_slope
+        return z * self._slopes[1], z * self._slopes[3]
 
     def bounding_box(self):
         """Axis-aligned (lo, hi) corners enclosing the volume, read-only."""
@@ -166,14 +165,10 @@ class SearchVolume:
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        x_lo, x_hi = self.x_bounds(z)
-        y_lo, y_hi = self.y_bounds(z)
-        return (
-            (z >= self.rig.z_min_m) & (z <= self.rig.z_max_m)
-            & (x >= x_lo) & (x <= x_hi)
-            & (y >= y_lo) & (y <= y_hi)
-        )
+        xy, z = pts.T[:2], pts[:, 2]
+        bounds = self._slopes[:, None] * z + self._offsets[:, None]
+        inside = (xy >= bounds[:2]) & (xy <= bounds[2:])
+        return inside[0] & inside[1] & (z >= self.rig.z_min_m) & (z <= self.rig.z_max_m)
 
     def clamp(self, points) -> np.ndarray:
         """Clamp points onto the volume: depth first, then the slice rectangle."""

@@ -133,6 +133,13 @@ class TestFitnessKernel:
             max_size=40,
         ),
     )
+    # windows that end on the last sample of the frame, in both views: at
+    # radius 0 the window is 3x3 around (7, 5), at radius 3 7x7 around (5, 3)
+    @example(seed=0, height=7, width=9, channels=1, radius=0, centres=[(6.75, 0.5, 5.0)])
+    @example(seed=0, height=7, width=9, channels=3, radius=0, centres=[(6.75, 0.5, 5.0)])
+    @example(seed=0, height=7, width=9, channels=1, radius=3, centres=[(4.75, 0.25, 3.0)])
+    @example(seed=0, height=7, width=9, channels=3, radius=3, centres=[(4.75, 0.25, 3.0)])
+    @example(seed=0, height=7, width=9, channels=3, radius=2, centres=[])
     def test_any_centre_matches_reference_oracle(self, seed, height, width, channels, radius, centres):
         rng = np.random.default_rng(seed)
         shape = (height, width) if channels == 1 else (height, width, 3)

@@ -131,6 +131,41 @@ class TestSearchVolume:
             )
             assert bool(m) == expected
 
+    @pytest.mark.parametrize("v0", [240.0, 2.0, 477.0], ids=["centred", "top-plane-at-0", "bottom-plane-at-0"])
+    def test_contains_at_exact_boundaries(self, v0):
+        # points on each bounding plane, one float step either side of it,
+        # and -0.0 on a plane at 0 (v0 = margin or H - 1 - margin puts the
+        # top or bottom plane there), against the bounds in scalar form
+        rig = StereoRig(CameraIntrinsics(500.0, (320.0, v0), 640, 480), baseline_m=0.4)
+        margin, f, u0, half_b = 2, 500.0, 320.0, 0.2
+
+        def bounds(z):
+            return (
+                z * ((margin - u0) / f) + half_b,
+                z * ((640 - 1 - margin - u0) / f) - half_b,
+                z * ((v0 - (480 - 1 - margin)) / f),
+                z * ((v0 - margin) / f),
+            )
+
+        def inside(x, y, z):
+            x_lo, x_hi, y_lo, y_hi = bounds(z)
+            return rig.z_min_m <= z <= rig.z_max_m and x_lo <= x <= x_hi and y_lo <= y <= y_hi
+
+        def around(b):
+            return [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+
+        pts = []
+        for z in (rig.z_min_m, 7.0, rig.z_max_m):
+            x_lo, x_hi, y_lo, y_hi = bounds(z)
+            x_mid, y_mid = (x_lo + x_hi) / 2, (y_lo + y_hi) / 2
+            pts += [(x, y_mid, z) for x in around(x_lo) + around(x_hi)]
+            pts += [(x_mid, y, z) for y in around(y_lo) + around(y_hi)]
+            pts += [(x_lo, y_lo, z), (x_hi, y_hi, z)]
+        pts += [(-0.0, -0.0, z) for z in around(rig.z_min_m) + around(rig.z_max_m) + [7.0]]
+        expected = [inside(*p) for p in pts]
+        assert search_volume(rig).contains(np.array(pts)).tolist() == expected
+        assert sum(expected) == 35  # on the plane and one step in; not one step out
+
     def test_clamp_lands_inside(self, default_rig):
         vol = search_volume(default_rig)
         rng = np.random.default_rng(8)
