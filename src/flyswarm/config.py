@@ -28,10 +28,6 @@ from .stereo_geometry import CameraIntrinsics, StereoRig
 from .synth import Scene, TexturedRect
 from .warning import WarningParams
 
-DEFAULT_FOCAL_LENGTH_PX = 500.0
-DEFAULT_PRINCIPAL_POINT = (320.0, 240.0)
-DEFAULT_IMAGE_SIZE = (640, 480)
-DEFAULT_BASELINE_M = 0.4
 
 class ConfigError(ValueError):
     """Bad configuration file or inconsistent run options."""
@@ -152,61 +148,45 @@ def _config_errors(build):
     return checked
 
 
+def _from_fields(cls, cfg: dict, **given):
+    """A ``cls`` whose fields not in ``given`` are read from the key of
+    the field's name, as the annotation says (a float tuple, an int or a
+    float), and default to the field's own default."""
+    for f in fields(cls):
+        if f.name not in given:
+            if f.type.startswith("tuple"):
+                given[f.name] = get_floats(cfg, f.name, f.default, f.type.count("float"))
+            else:
+                read = get_int if f.type.startswith("int") else get_float
+                given[f.name] = read(cfg, f.name, f.default)
+    return cls(**given)
+
+
 @_config_errors
 def rig_from_config(cfg: dict) -> StereoRig:
-    width, height = (_integer(v, "image_size") for v in get_floats(cfg, "image_size", DEFAULT_IMAGE_SIZE, 2))
-    intrinsics = CameraIntrinsics(
-        focal_length_px=get_float(cfg, "focal_length_px", DEFAULT_FOCAL_LENGTH_PX),
-        principal_point=get_floats(cfg, "principal_point", DEFAULT_PRINCIPAL_POINT, 2),
-        image_width=width,
-        image_height=height,
-    )
-    rig_defaults = {f.name: f.default for f in fields(StereoRig)}
-    return StereoRig(
-        intrinsics=intrinsics,
-        baseline_m=get_float(cfg, "baseline_m", DEFAULT_BASELINE_M),
-        camera_height_m=get_float(cfg, "camera_height_m", rig_defaults["camera_height_m"]),
-        z_min_m=get_float(cfg, "z_min_m", rig_defaults["z_min_m"]),
-        z_max_m=get_float(cfg, "z_max_m", rig_defaults["z_max_m"]),
-    )
+    # one key sets both image sides
+    default = CameraIntrinsics()
+    size = get_floats(cfg, "image_size", (default.image_width, default.image_height), 2)
+    width, height = (_integer(v, "image_size") for v in size)
+    intrinsics = _from_fields(CameraIntrinsics, cfg, image_width=width, image_height=height)
+    return _from_fields(StereoRig, cfg, intrinsics=intrinsics)
 
 
 @_config_errors
 def evolution_params_from_config(cfg: dict) -> EvolutionParams:
-    defaults = EvolutionParams()
-    sigma = get_floats(cfg, "mutation_sigma", None, 3)
-    return EvolutionParams(
-        population_size=get_int(cfg, "population_size", defaults.population_size),
-        selection_ratio=get_float(cfg, "selection_ratio", defaults.selection_ratio),
-        mutation_fraction=get_float(cfg, "mutation_fraction", defaults.mutation_fraction),
-        crossover_fraction=get_float(cfg, "crossover_fraction", defaults.crossover_fraction),
-        immigration_fraction=get_float(cfg, "immigration_fraction", defaults.immigration_fraction),
-        mutation_sigma=sigma,
-        neighborhood_radius=get_int(cfg, "neighborhood_radius", defaults.neighborhood_radius),
-        sharing_cell_px=get_int(cfg, "sharing_cell_px", defaults.sharing_cell_px),
-        sharing_exponent=get_float(cfg, "sharing_exponent", defaults.sharing_exponent),
-        fitness_epsilon=get_float(cfg, "fitness_epsilon", defaults.fitness_epsilon),
-        rng_seed=get_int(cfg, "rng_seed", defaults.rng_seed),
-    )
+    return _from_fields(EvolutionParams, cfg)
 
 
 @_config_errors
 def warning_params_from_config(cfg: dict) -> WarningParams:
-    defaults = WarningParams()
-    return WarningParams(
-        max_height_m=get_float(cfg, "max_height_m", defaults.max_height_m),
-        min_height_m=get_float(cfg, "min_height_m", defaults.min_height_m),
-        max_range_m=get_float(cfg, "max_range_m", defaults.max_range_m),
-        x_clamp_m=get_float(cfg, "x_clamp_m", defaults.x_clamp_m),
-        z_clamp_m=get_float(cfg, "z_clamp_m", defaults.z_clamp_m),
-    )
+    return _from_fields(WarningParams, cfg)
 
 
 @_config_errors
 def scene_from_config(cfg: dict) -> Scene:
     """Scene description; a config that carries no scene keys has none."""
-    scene_keys = ("obstacle", "ground_texture_seed", "background_grey", "ground_texture_cell_m")
-    if not any(k in cfg for k in scene_keys):
+    numeric_keys = [f.name for f in fields(Scene) if f.name != "obstacles"]
+    if not any(k in cfg for k in ["obstacle", *numeric_keys]):
         raise ConfigError("no scene: pass --preset or a config file with scene keys")
     obstacles = []
     for raw in cfg.get("obstacle", []):
@@ -224,10 +204,4 @@ def scene_from_config(cfg: dict) -> Scene:
         if len(values) == 7:
             rect_args["texture_cell_m"] = values[6]
         obstacles.append(TexturedRect(**rect_args))
-    scene_defaults = {f.name: f.default for f in fields(Scene)}
-    return Scene(
-        obstacles=tuple(obstacles),
-        ground_texture_seed=get_int(cfg, "ground_texture_seed", None),
-        background_grey=get_int(cfg, "background_grey", scene_defaults["background_grey"]),
-        ground_texture_cell_m=get_float(cfg, "ground_texture_cell_m", scene_defaults["ground_texture_cell_m"]),
-    )
+    return _from_fields(Scene, cfg, obstacles=tuple(obstacles))

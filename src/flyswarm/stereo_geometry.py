@@ -26,9 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Fitness windows default to a 5x5 neighborhood, i.e. a 2 px margin.
-DEFAULT_MARGIN_PX = 2
-
 # Depth floor for projection math; avoids division blow-up for degenerate
 # inputs. Points closer than this are never visible.
 Z_FLOOR_M = 0.01
@@ -38,10 +35,10 @@ Z_FLOOR_M = 0.01
 class CameraIntrinsics:
     """Pinhole intrinsics shared by both cameras of the rig."""
 
-    focal_length_px: float
-    principal_point: tuple[float, float]
-    image_width: int
-    image_height: int
+    focal_length_px: float = 500.0
+    principal_point: tuple[float, float] = (320.0, 240.0)
+    image_width: int = 640
+    image_height: int = 480
 
     def __post_init__(self):
         # a tuple keeps the rig hashable and equal to one built from a list
@@ -61,8 +58,8 @@ class CameraIntrinsics:
 class StereoRig:
     """Calibrated rectified stereo pair plus the fly depth bounds."""
 
-    intrinsics: CameraIntrinsics
-    baseline_m: float
+    intrinsics: CameraIntrinsics = CameraIntrinsics()
+    baseline_m: float = 0.4
     camera_height_m: float = 1.2
     z_min_m: float = 1.0
     z_max_m: float = 20.0
@@ -97,7 +94,7 @@ def project_many(rig: StereoRig, points: np.ndarray):
     return u_left, u_right, v
 
 
-def visible_many(rig: StereoRig, u_left, u_right, v, z, margin: int = DEFAULT_MARGIN_PX):
+def visible_many(rig: StereoRig, u_left, u_right, v, z, margin: int):
     """True where a point is in front of the cameras (z at or above the
     depth floor) and its projection, padded by ``margin`` pixels, lies
     inside both images."""
@@ -123,12 +120,14 @@ class SearchVolume:
         y_lo(z) = z * (v0 - (H - 1 - margin)) / f
         y_hi(z) = z * (v0 - margin) / f
 
-    These are the exact algebraic inverses of the visibility rule of
-    :func:`visible_many`, so membership here coincides with that rule
-    plus ``z_min <= z <= z_max``.
+    These invert the visibility rule of :func:`visible_many` (plus
+    ``z_min <= z <= z_max``) algebraically, not bit for bit: a point on a
+    bound, as :meth:`clamp` makes, is inside here while its projection
+    may pass the margin by float rounding (under 1e-12 px), which
+    :func:`visible_many` rejects.
     """
 
-    def __init__(self, rig: StereoRig, margin: int = DEFAULT_MARGIN_PX):
+    def __init__(self, rig: StereoRig, margin: int):
         K = rig.intrinsics
         if K.image_width - 1 - 2 * margin <= 0 or K.image_height - 1 - 2 * margin <= 0:
             raise ValueError(f"images too small for a {margin} px visibility margin")
@@ -185,7 +184,7 @@ class SearchVolume:
 _last_volume: SearchVolume | None = None
 
 
-def search_volume(rig: StereoRig, margin: int = DEFAULT_MARGIN_PX) -> SearchVolume:
+def search_volume(rig: StereoRig, margin: int) -> SearchVolume:
     """The volume of ``(rig, margin)``; the last one built is reused while
     the rig compares equal, so a generation builds none."""
     global _last_volume
@@ -195,9 +194,7 @@ def search_volume(rig: StereoRig, margin: int = DEFAULT_MARGIN_PX) -> SearchVolu
     return vol
 
 
-def sample_points(
-    rig: StereoRig, rng: np.random.Generator, count: int, margin: int = DEFAULT_MARGIN_PX
-) -> np.ndarray:
+def sample_points(rig: StereoRig, rng: np.random.Generator, count: int, margin: int) -> np.ndarray:
     """Draw ``count`` points uniformly over the search volume.
 
     Rejection sampling from the bounding box; uniform because the box

@@ -278,7 +278,7 @@ def test_a6_operator_properties(session_rig, pedestrian_pair):
             failures.append("population size drift")
 
     # selection dominance on a random population
-    pool = Population(sample_points(session_rig, rng, cases))
+    pool = Population(sample_points(session_rig, rng, cases, margin=2))
     pool.raw_fitness[:] = rng.uniform(0, 50, cases)
     apply_sharing(pool, session_rig, EvolutionParams())
     survivors = select(pool, EvolutionParams())

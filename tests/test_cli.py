@@ -23,7 +23,10 @@ from flyswarm.config import (
     scene_from_config,
     warning_params_from_config,
 )
+from flyswarm.evolution import EvolutionParams
 from flyswarm.imaging import Image, read_pnm
+from flyswarm.stereo_geometry import StereoRig
+from flyswarm.warning import WarningParams
 
 
 def read_csv(path):
@@ -59,6 +62,10 @@ class TestConfig:
         assert (rig.intrinsics.image_width, rig.intrinsics.image_height) == (640, 480)
         assert evolution_params_from_config({}).population_size == 5000
         assert warning_params_from_config({}).max_range_m == 16.0
+        # each default is the dataclass field's own
+        assert rig_from_config({}) == StereoRig()
+        assert evolution_params_from_config({}) == EvolutionParams()
+        assert warning_params_from_config({}) == WarningParams()
         with pytest.raises(ConfigError, match="no scene"):
             scene_from_config({})
 
@@ -107,6 +114,12 @@ class TestConfig:
         # the first number used to be taken and the rest dropped (50, 0.3 m)
         with pytest.raises(ConfigError, match="expects 1 number"):
             build(parse_config_text(text))
+
+    def test_first_bad_field_is_named(self):
+        # keys are read in field order, so population_size comes first
+        cfg = parse_config_text("mutation_sigma = 1 2\npopulation_size = 1.5\n")
+        with pytest.raises(ConfigError, match="key 'population_size' expects integers"):
+            evolution_params_from_config(cfg)
 
     def test_value_without_numbers_rejected(self):
         # "," splits into no numbers at all; this used to end in an IndexError

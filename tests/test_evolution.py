@@ -99,12 +99,25 @@ class TestFitness:
         with pytest.raises(ValueError, match=f"left image is {w}x{h} but the rig expects {rig_w}x{rig_h}"):
             swarm.step()
 
+    def test_fly_near_the_depth_floor_is_scored(self, default_params):
+        # a 5 mm baseline puts the fields of view together from 3.9 mm, so
+        # the volume admits a fly at 15 mm, just above the 10 mm floor
+        rig = StereoRig(baseline_m=0.005, z_min_m=0.005)
+        position = [0.0, 0.0, 0.015]
+        assert search_volume(rig, margin=2).contains(position).all()
+        rng = np.random.default_rng(6)
+        left, right = (Image.from_array(rng.integers(0, 256, (480, 640), dtype=np.uint8)) for _ in range(2))
+        [got] = fitness_of(position, StereoFrame(left, right), rig, default_params)
+        grads = sobel_norm_map(left), sobel_norm_map(right)
+        assert got == naive_fitness(position, left, right, *grads, rig, default_params)
+        assert got > 0
+
     def test_intensity_shift_leaves_fitness(self, session_rig, default_params, pedestrian_pair):
         left, right = pedestrian_pair
         shifted_l = Image.from_array(left.samples + 25)
         shifted_r = Image.from_array(right.samples + 25)
         rng = np.random.default_rng(4)
-        pop = Population(sample_points(session_rig, rng, 1000))
+        pop = Population(sample_points(session_rig, rng, 1000, margin=2))
         evaluate_population(pop, StereoFrame(left, right), session_rig, default_params)
         base = pop.raw_fitness.copy()
         evaluate_population(pop, StereoFrame(shifted_l, shifted_r), session_rig, default_params)
@@ -167,6 +180,25 @@ class TestFitnessKernel:
             assert np.count_nonzero(got) >= 50
             assert got.tolist() == expected
 
+    @pytest.mark.parametrize("channels, radius", [(1, 91), (3, 52)])
+    def test_ssd_past_int32_matches_reference(self, channels, radius):
+        # the first radius whose window SSD can pass 2**31: on 2 px stripes
+        # and their inverse, a disparity that is a multiple of the 4 px
+        # period makes every sample differ by 255
+        stripes = np.tile(np.repeat(np.uint8([0, 255]), 2), (420, 105))
+        if channels == 3:
+            stripes = np.repeat(stripes[:, :, None], 3, axis=2)
+        left, right = Image.from_array(stripes), Image.from_array(255 - stripes)
+        rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), 420, 420), baseline_m=1.0)
+        u_left, disparity, v = np.array([(200.0, 4.0, 200.0), (250.0, 8.0, 150.0), (300.0, 12.0, 260.0)]).T
+        z = 100.0 / disparity
+        pts = np.column_stack([u_left * z / 100.0 - 0.5, -v * z / 100.0, z])
+        params = EvolutionParams(neighborhood_radius=radius)
+        got = fitness_of(pts, StereoFrame(left, right), rig, params)
+        gl, gr = sobel_norm_map(left), sobel_norm_map(right)
+        assert got.tolist() == [naive_fitness(p, left, right, gl, gr, rig, params) for p in pts]
+        assert (got > 0).all()
+
     def test_border_centre_scores_zero_at_radius_zero(self):
         # a fly whose rounded centre lies on the 1 px border is visible at
         # radius 0, but the reference map is 0 there
@@ -178,7 +210,7 @@ class TestFitnessKernel:
         assert got[4] > 0
 
     def test_repeated_evaluation_identical(self, session_rig, default_params, pedestrian_pair):
-        pts = sample_points(session_rig, np.random.default_rng(14), 2000)
+        pts = sample_points(session_rig, np.random.default_rng(14), 2000, margin=2)
         frame = StereoFrame(*pedestrian_pair)
         first = fitness_of(pts, frame, session_rig, default_params).copy()
         again = fitness_of(pts, frame, session_rig, default_params)
@@ -322,7 +354,7 @@ class TestSharing:
         raws = []
         for _ in range(40):
             count = int(rng.integers(1, 6))
-            centre = sample_points(default_rig, rng, 1)[0]
+            centre = sample_points(default_rig, rng, 1, margin=2)[0]
             blocks += [centre] * count
             raws += [float(rng.uniform(1, 9))] * count
         # flies outside the volume: far off every side of the image, just
@@ -356,7 +388,7 @@ class TestSharing:
 
     def test_cell_wider_than_int64(self, default_rig):
         # used to end in an OverflowError; every visible fly shares one cell
-        pop = Population(sample_points(default_rig, np.random.default_rng(7), 50))
+        pop = Population(sample_points(default_rig, np.random.default_rng(7), 50, margin=2))
         pop.raw_fitness[:] = 5.0
         apply_sharing(pop, default_rig, EvolutionParams(sharing_cell_px=2**70))
         assert np.all(pop.shared_fitness == 0.1)
@@ -371,7 +403,7 @@ class TestSharing:
 
     def test_shared_never_exceeds_raw(self, default_rig, default_params):
         rng = np.random.default_rng(6)
-        pop = Population(sample_points(default_rig, rng, 2000))
+        pop = Population(sample_points(default_rig, rng, 2000, margin=2))
         pop.raw_fitness[:] = rng.uniform(0, 100, 2000)
         apply_sharing(pop, default_rig, default_params)
         assert np.all(pop.shared_fitness <= pop.raw_fitness + 1e-15)

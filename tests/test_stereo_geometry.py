@@ -91,13 +91,13 @@ def test_rig_validation():
 
 class TestSearchVolume:
     def test_symmetric_rig_symmetric_in_x(self, symmetric_rig):
-        vol = search_volume(symmetric_rig)
+        vol = search_volume(symmetric_rig, margin=2)
         for z in (1.0, 5.0, 20.0):
             lo, hi = vol.x_bounds(z)
             assert lo == pytest.approx(-hi, rel=1e-12)
 
     def test_near_slice_contained_in_far_slice(self, default_rig):
-        vol = search_volume(default_rig)
+        vol = search_volume(default_rig, margin=2)
         near_lo, near_hi = vol.x_bounds(default_rig.z_min_m)
         far_lo, far_hi = vol.x_bounds(default_rig.z_max_m)
         assert far_lo < near_lo and near_hi < far_hi
@@ -107,7 +107,7 @@ class TestSearchVolume:
 
     def test_bounds_match_visibility_scan(self, default_rig):
         # brute-force scan of project(...).visible along each axis at z=5
-        vol = search_volume(default_rig)
+        vol = search_volume(default_rig, margin=2)
         z = 5.0
         xs = np.linspace(-5, 5, 4001)
         visible = np.array([project(default_rig, (x, 0.0, z)).visible for x in xs])
@@ -120,7 +120,7 @@ class TestSearchVolume:
         assert x_lo == pytest.approx(-2.98)
 
     def test_contains_agrees_with_project(self, default_rig):
-        vol = search_volume(default_rig)
+        vol = search_volume(default_rig, margin=2)
         rng = np.random.default_rng(7)
         lo, hi = vol.bounding_box()
         pts = rng.uniform(lo, hi, size=(2000, 3))
@@ -163,19 +163,24 @@ class TestSearchVolume:
             pts += [(x_lo, y_lo, z), (x_hi, y_hi, z)]
         pts += [(-0.0, -0.0, z) for z in around(rig.z_min_m) + around(rig.z_max_m) + [7.0]]
         expected = [inside(*p) for p in pts]
-        assert search_volume(rig).contains(np.array(pts)).tolist() == expected
+        assert search_volume(rig, margin=2).contains(np.array(pts)).tolist() == expected
         assert sum(expected) == 35  # on the plane and one step in; not one step out
 
     def test_clamp_lands_inside(self, default_rig):
-        vol = search_volume(default_rig)
+        # a clamped point is inside the volume; its projection may pass the
+        # margin by float rounding (about 6e-14 px), never by more than 1e-12
+        vol = search_volume(default_rig, margin=2)
         rng = np.random.default_rng(8)
-        pts = rng.uniform([-50, -50, -5], [50, 50, 50], size=(500, 3))
+        pts = rng.uniform([-50, -50, -5], [50, 50, 50], size=(200_000, 3))
         clamped = vol.clamp(pts)
         assert vol.contains(clamped).all()
+        u_left, u_right, v = project_many(default_rig, clamped)
+        overshoot = np.stack([2 - u_left, u_left - 637, 2 - u_right, u_right - 637, 2 - v, v - 477])
+        assert overshoot.max() <= 1e-12
 
     def test_volume_formula_against_grid(self, default_rig):
         # grid-based slice-area integration vs the closed form
-        vol = search_volume(default_rig)
+        vol = search_volume(default_rig, margin=2)
         zs = np.linspace(default_rig.z_min_m, default_rig.z_max_m, 2001)
         x_lo, x_hi = vol.x_bounds(zs)
         y_lo, y_hi = vol.y_bounds(zs)
@@ -184,11 +189,11 @@ class TestSearchVolume:
         assert volume_m3(default_rig) == pytest.approx(numeric, rel=1e-6)
 
     def test_reused_while_the_rig_is_equal(self, default_rig):
-        vol = search_volume(default_rig)
+        vol = search_volume(default_rig, margin=2)
         twin = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), 640, 480), baseline_m=0.4)
-        assert search_volume(twin) is vol
+        assert search_volume(twin, margin=2) is vol
         assert search_volume(default_rig, margin=3).margin == 3
-        wider = search_volume(StereoRig(twin.intrinsics, baseline_m=0.5))
+        wider = search_volume(StereoRig(twin.intrinsics, baseline_m=0.5), margin=2)
         assert wider.bounding_box()[0][0] != vol.bounding_box()[0][0]
         with pytest.raises(ValueError):
             vol.bounding_box()[0][0] = 0.0  # shared, so read-only
@@ -203,22 +208,22 @@ class TestSearchVolume:
 class TestSampling:
     def test_all_samples_visible(self, default_rig):
         rng = np.random.default_rng(0)
-        pts = sample_points(default_rig, rng, 10_000)
-        vol = search_volume(default_rig)
+        pts = sample_points(default_rig, rng, 10_000, margin=2)
+        vol = search_volume(default_rig, margin=2)
         assert vol.contains(pts).all()
         u_left, u_right, v = project_many(default_rig, pts)
-        assert visible_many(default_rig, u_left, u_right, v, pts[:, 2]).all()
+        assert visible_many(default_rig, u_left, u_right, v, pts[:, 2], margin=2).all()
 
     def test_lateral_mean_near_zero_on_symmetric_rig(self, symmetric_rig):
         rng = np.random.default_rng(1)
-        pts = sample_points(symmetric_rig, rng, 100_000)
+        pts = sample_points(symmetric_rig, rng, 100_000, margin=2)
         x = pts[:, 0]
         tol = 3.0 * x.std() / np.sqrt(x.size)
         assert abs(x.mean()) < tol
 
     def test_acceptance_fraction_matches_volume_ratio(self, default_rig):
         # Monte-Carlo acceptance vs exact volume/box ratio, within 2%
-        vol = search_volume(default_rig)
+        vol = search_volume(default_rig, margin=2)
         lo, hi = vol.bounding_box()
         box_volume = float(np.prod(hi - lo))
         expected = volume_m3(default_rig) / box_volume
@@ -230,8 +235,8 @@ class TestSampling:
     def test_draws_match_uniform(self, default_rig):
         # the same draws and bits as rng.uniform(lo, hi) in the rejection loop
         rng, twin = np.random.default_rng(16), np.random.default_rng(16)
-        got = sample_points(default_rig, rng, 700)
-        vol = search_volume(default_rig)
+        got = sample_points(default_rig, rng, 700, margin=2)
+        vol = search_volume(default_rig, margin=2)
         lo, hi = vol.bounding_box()
         kept = np.empty((0, 3))
         while len(kept) < 700:
@@ -241,6 +246,6 @@ class TestSampling:
         assert rng.random() == twin.random()
 
     def test_seeded_draws_reproducible(self, default_rig):
-        a = sample_points(default_rig, np.random.default_rng(42), 500)
-        b = sample_points(default_rig, np.random.default_rng(42), 500)
+        a = sample_points(default_rig, np.random.default_rng(42), 500, margin=2)
+        b = sample_points(default_rig, np.random.default_rng(42), 500, margin=2)
         assert np.array_equal(a, b)
