@@ -322,18 +322,15 @@ def crossover(parent1: np.ndarray, parent2: np.ndarray, lam) -> np.ndarray:
     return (lam * parent1.T + (1.0 - lam) * parent2.T).T
 
 
-def resolve_mutation_sigma(params: EvolutionParams, rig: StereoRig) -> np.ndarray:
-    if params.mutation_sigma is not None:
-        return np.asarray(params.mutation_sigma, dtype=np.float64)
-    lo, hi = search_volume(rig, params.neighborhood_radius).bounding_box()
-    return DEFAULT_SIGMA_FRACTION * (hi - lo)
-
-
 def mutate(parents: np.ndarray, rig: StereoRig, params: EvolutionParams, rng: np.random.Generator) -> np.ndarray:
     """Add per-axis Gaussian noise to each (N, 3) parent row; redraw the
     rows that leave the volume up to MUTATION_RESAMPLE_LIMIT times, then clamp."""
     vol = search_volume(rig, params.neighborhood_radius)
-    sigma = resolve_mutation_sigma(params, rig)
+    if params.mutation_sigma is None:
+        lo, hi = vol.bounding_box()
+        sigma = DEFAULT_SIGMA_FRACTION * (hi - lo)
+    else:
+        sigma = np.asarray(params.mutation_sigma, dtype=np.float64)
     # rng.normal(0.0, sigma)'s own formula and draws, off its broadcast
     # path; the 0.0 + keeps a -0.0 coordinate on a zero-sigma axis as 0.0
     out = parents + (0.0 + sigma * rng.standard_normal(parents.shape))

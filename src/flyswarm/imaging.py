@@ -37,13 +37,8 @@ class Image:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Image":
-        a = np.ascontiguousarray(arr)
-        if a.dtype != np.uint8:
-            if np.issubdtype(a.dtype, np.integer) and a.min() >= 0 and a.max() <= 255:
-                a = a.astype(np.uint8)
-            else:
-                raise ValueError("array must hold integer samples in [0, 255]")
-        return cls(a)
+        """The image of a uint8 array, copied to C order if it is strided."""
+        return cls(np.ascontiguousarray(arr))
 
 
 def _next_token(data: bytes, pos: int):

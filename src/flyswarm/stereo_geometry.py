@@ -17,11 +17,13 @@ A point is "visible" when its projection, padded by a margin of
 ``margin`` pixels (the fitness neighborhood radius), lies inside both
 images. The admissible fly volume is the depth-bounded set of visible
 points; at a fixed depth z it is an axis-aligned rectangle whose bounds
-grow linearly with z, which makes the volume convex.
+are linear in z, which makes the volume convex.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,14 @@ class StereoRig:
             raise ValueError(f"camera_height_m must be >= 0, got {self.camera_height_m}")
         if not (0 < self.z_min_m < self.z_max_m):
             raise ValueError(f"need 0 < z_min_m < z_max_m, got {self.z_min_m}, {self.z_max_m}")
+        # bounds the widest side of the search volume's box, which every
+        # fly draw scales: past the float range a draw is NaN, never inside
+        K = self.intrinsics
+        widest = 2 * self.z_max_m * max(K.image_width, K.image_height) / K.focal_length_px + self.baseline_m
+        if not math.isfinite(widest):
+            raise ValueError(
+                f"search volume overflows: 2 * z_max_m * max(image size) / focal_length_px + baseline_m is {widest}"
+            )
 
 
 def project_many(rig: StereoRig, points: np.ndarray):
@@ -112,19 +122,21 @@ def visible_many(rig: StereoRig, u_left, u_right, v, z, margin: int):
 class SearchVolume:
     """Depth-bounded intersection of the two fields of view.
 
-    At depth z the admissible set is the rectangle
-    [x_lo(z), x_hi(z)] x [y_lo(z), y_hi(z)], all bounds linear in z:
+    At depth z the admissible set is the box [lo(z), hi(z)] of
+    :meth:`bounds`, every bound linear in z:
 
         x_lo(z) = z * (margin - u0) / f + b/2
         x_hi(z) = z * (W - 1 - margin - u0) / f - b/2
         y_lo(z) = z * (v0 - (H - 1 - margin)) / f
         y_hi(z) = z * (v0 - margin) / f
+        z_lo(z) = z_min,  z_hi(z) = z_max
 
     These invert the visibility rule of :func:`visible_many` (plus
     ``z_min <= z <= z_max``) algebraically, not bit for bit: a point on a
     bound, as :meth:`clamp` makes, is inside here while its projection
     may pass the margin by float rounding (under 1e-12 px), which
-    :func:`visible_many` rejects.
+    :func:`visible_many` rejects. As the bounds are linear, the two end
+    slices hold their extremes, so the bounding box spans both.
     """
 
     def __init__(self, rig: StereoRig, margin: int):
@@ -135,63 +147,51 @@ class SearchVolume:
         u0, v0 = K.principal_point
         self.rig = rig
         self.margin = margin
-        # x_lo, y_lo, x_hi, y_hi at depth z are z * slope + offset
         H, W = K.image_height, K.image_width
-        self._slopes = np.array([margin - u0, v0 - (H - 1 - margin), W - 1 - margin - u0, v0 - margin]) / f
         half_b = 0.5 * rig.baseline_m
-        self._offsets = np.array([half_b, 0.0, -half_b, 0.0])
-        if self.x_bounds(rig.z_min_m)[0] > self.x_bounds(rig.z_min_m)[1]:
+        # z * slope + offset for x_lo, y_lo, z_lo, x_hi, y_hi and z_hi, held
+        # as columns so that the bounds of N depths are six contiguous rows
+        slopes = [margin - u0, v0 - (H - 1 - margin), 0.0, W - 1 - margin - u0, v0 - margin, 0.0]
+        self._slopes = np.array(slopes)[:, None] / f
+        self._offsets = np.array([half_b, 0.0, rig.z_min_m, -half_b, 0.0, rig.z_max_m])[:, None]
+        lo, hi = self.bounds([rig.z_min_m, rig.z_max_m])
+        if lo[0, 0] > hi[0, 0]:  # x at z_min
             raise ValueError(
                 "fields of view do not intersect at z_min_m "
                 f"(need z_min >= {f * rig.baseline_m / (K.image_width - 1 - 2 * margin):.3f} m)"
             )
-        # the widest slice is at z_max; read-only, as the volume is shared
-        (x_lo, x_hi), (y_lo, y_hi) = self.x_bounds(rig.z_max_m), self.y_bounds(rig.z_max_m)
-        self._box = np.array([[x_lo, y_lo, rig.z_min_m], [x_hi, y_hi, rig.z_max_m]])
+        # the bounds are linear, so the end slices hold their extremes;
+        # read-only, as the volume is shared
+        self._box = np.array([lo.min(axis=1), hi.max(axis=1)])
         self._box.flags.writeable = False
 
-    def x_bounds(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        return z * self._slopes[0] + self._offsets[0], z * self._slopes[2] + self._offsets[2]
-
-    def y_bounds(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        return z * self._slopes[1], z * self._slopes[3]
+    def bounds(self, z):
+        """The (lo, hi) corners of the slices at the depths ``z``: each is
+        (3, N) for N depths, one row per axis, and (3, 1) for a scalar."""
+        b = self._slopes * np.asarray(z, dtype=np.float64) + self._offsets
+        return b[:3], b[3:]
 
     def bounding_box(self):
         """Axis-aligned (lo, hi) corners enclosing the volume, read-only."""
         return self._box[0], self._box[1]
 
     def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        xy, z = pts.T[:2], pts[:, 2]
-        bounds = self._slopes[:, None] * z + self._offsets[:, None]
-        inside = (xy >= bounds[:2]) & (xy <= bounds[2:])
-        return inside[0] & inside[1] & (z >= self.rig.z_min_m) & (z <= self.rig.z_max_m)
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64)).T
+        lo, hi = self.bounds(pts[2])
+        inside = (pts >= lo) & (pts <= hi)
+        return inside[0] & inside[1] & inside[2]
 
     def clamp(self, points) -> np.ndarray:
         """Clamp points onto the volume: depth first, then the slice rectangle."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64)).copy()
-        z = np.clip(pts[:, 2], self.rig.z_min_m, self.rig.z_max_m)
-        x_lo, x_hi = self.x_bounds(z)
-        y_lo, y_hi = self.y_bounds(z)
-        pts[:, 0] = np.clip(pts[:, 0], x_lo, x_hi)
-        pts[:, 1] = np.clip(pts[:, 1], y_lo, y_hi)
-        pts[:, 2] = z
-        return pts
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        lo, hi = self.bounds(np.clip(pts[:, 2], self.rig.z_min_m, self.rig.z_max_m))
+        return np.clip(pts, lo.T, hi.T)
 
 
-_last_volume: SearchVolume | None = None
-
-
-def search_volume(rig: StereoRig, margin: int) -> SearchVolume:
-    """The volume of ``(rig, margin)``; the last one built is reused while
-    the rig compares equal, so a generation builds none."""
-    global _last_volume
-    vol = _last_volume
-    if vol is None or vol.margin != margin or vol.rig != rig:
-        vol = _last_volume = SearchVolume(rig, margin)
-    return vol
+# the volume of one (rig, margin) is reused while both compare equal, so a
+# generation builds none; callers pass the margin positionally, as the
+# cache keys a keyword call apart
+search_volume = functools.lru_cache(maxsize=1)(SearchVolume)
 
 
 def sample_points(rig: StereoRig, rng: np.random.Generator, count: int, margin: int) -> np.ndarray:

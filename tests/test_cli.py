@@ -460,6 +460,25 @@ class TestFailureContract:
         assert code == 2
         assert err.startswith("flyswarm: error:") and err.count("\n") == 1
 
+    # warnings as errors: before the rig rejected it, synth rendered with
+    # overflow warnings and detect drew NaN flies without end
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["synth", "detect", "sequence"])
+    def test_overflowing_search_volume_exits_2_before_any_output(self, tmp_path, capsys, command):
+        source = ["--preset", "pedestrian-4m"]
+        if command == "sequence":
+            pair = tmp_path / "pair"
+            assert main(["synth", "--preset", "empty-road", "--out", str(pair)]) == 0
+            source = ["--left", str(pair / "left.pgm"), "--right", str(pair / "right.pgm")]
+        conf = tmp_path / "run.conf"
+        conf.write_text("focal_length_px = 1e-308\n")
+        capsys.readouterr()
+        code = main([command, *source, "--config", str(conf), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("flyswarm: error: search volume overflows") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_config_number_rejected(self):
         for value in ("nan", "inf", "-inf", "0.4, nan"):
             with pytest.raises(ConfigError, match="finite"):

@@ -23,7 +23,7 @@ from flyswarm.evolution import (
     survivor_count,
 )
 from flyswarm.imaging import Image, load_pnm, save_pnm
-from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig, project_many, sample_points, search_volume
+from flyswarm.stereo_geometry import CameraIntrinsics, SearchVolume, StereoRig, project_many, sample_points, search_volume
 from flyswarm.synth import Scene, TexturedRect, render_stereo_pair
 from flyswarm.warning import WarningParams
 from reference import naive_fitness, project, sobel_norm_map
@@ -638,6 +638,18 @@ class TestStepGeneration:
         for _ in range(20):
             swarm.step()
             assert vol.contains(swarm.population.positions).all()
+
+    def test_later_steps_build_no_search_volume(self, small_rig, monkeypatch):
+        # the volume is cached per call signature: one caller passing the
+        # margin by keyword would rebuild it on every mutate and refill
+        swarm = self._setup(small_rig)
+        swarm.step()
+        built = []
+        init = SearchVolume.__init__
+        monkeypatch.setattr(SearchVolume, "__init__", lambda vol, *args: built.append(args) or init(vol, *args))
+        for _ in range(3):
+            swarm.step()
+        assert built == []
 
     def test_single_survivor_falls_back_to_mutation(self, small_rig):
         swarm = self._setup(small_rig, population_size=10, selection_ratio=0.05, rng_seed=1)  # one survivor

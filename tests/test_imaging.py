@@ -57,6 +57,12 @@ class TestPnm:
             Image(strided)
         assert Image.from_array(strided).samples.flags.c_contiguous
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64, bool])
+    def test_samples_other_than_uint8_rejected(self, dtype):
+        # from_array converts nothing, even values that fit in a byte
+        with pytest.raises(ValueError, match="uint8"):
+            Image.from_array(np.ones((4, 4), dtype=dtype))
+
     def test_non_numeric_header(self):
         with pytest.raises(PnmParseError, match="offset"):
             load_pnm(b"P5\nzz 2\n255\n" + bytes(4))

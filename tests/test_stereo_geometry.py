@@ -87,22 +87,57 @@ def test_rig_validation():
         CameraIntrinsics(-1.0, (320.0, 240.0), 640, 480)
     with pytest.raises(ValueError):
         CameraIntrinsics(500.0, (700.0, 240.0), 640, 480)
+    # a volume past the float range, or NaN, would have sample_points draw forever
+    with pytest.raises(ValueError, match="overflows: .* is inf"):
+        StereoRig(CameraIntrinsics(1e-308, (320.0, 240.0), 640, 480), baseline_m=0.4)
+    for f, baseline in ((np.nan, 0.4), (500.0, np.nan)):
+        with pytest.raises(ValueError, match="overflows: .* is nan"):
+            StereoRig(CameraIntrinsics(f, (320.0, 240.0), 640, 480), baseline_m=baseline)
+
+
+def slice_bounds(rig, z, margin=2):
+    """x_lo, x_hi, y_lo, y_hi of the volume's slice at depth z, in scalar form."""
+    K = rig.intrinsics
+    f, (u0, v0), half_b = K.focal_length_px, K.principal_point, 0.5 * rig.baseline_m
+    return (
+        z * ((margin - u0) / f) + half_b,
+        z * ((K.image_width - 1 - margin - u0) / f) - half_b,
+        z * ((v0 - (K.image_height - 1 - margin)) / f),
+        z * ((v0 - margin) / f),
+    )
+
+
+# With the principal point within the margin of an image edge, that side's
+# bound moves inward with depth, so near z_min the volume reaches past its
+# z_max slice
+PRINCIPAL_POINTS = {
+    "centred": (320.0, 240.0),
+    "u0=0": (0.0, 240.0),
+    "u0=W-1": (639.0, 240.0),
+    "v0=0": (320.0, 0.0),
+    "v0=H-1": (320.0, 479.0),
+}
+
+
+@pytest.fixture(params=PRINCIPAL_POINTS.values(), ids=PRINCIPAL_POINTS)
+def pp_rig(request) -> StereoRig:
+    return StereoRig(CameraIntrinsics(500.0, request.param, 640, 480), baseline_m=0.4)
 
 
 class TestSearchVolume:
     def test_symmetric_rig_symmetric_in_x(self, symmetric_rig):
         vol = search_volume(symmetric_rig, margin=2)
         for z in (1.0, 5.0, 20.0):
-            lo, hi = vol.x_bounds(z)
+            (lo, _, _), (hi, _, _) = vol.bounds(z)
             assert lo == pytest.approx(-hi, rel=1e-12)
 
     def test_near_slice_contained_in_far_slice(self, default_rig):
         vol = search_volume(default_rig, margin=2)
-        near_lo, near_hi = vol.x_bounds(default_rig.z_min_m)
-        far_lo, far_hi = vol.x_bounds(default_rig.z_max_m)
+        (near_lo, _, _), (near_hi, _, _) = vol.bounds(default_rig.z_min_m)
+        (far_lo, _, _), (far_hi, _, _) = vol.bounds(default_rig.z_max_m)
         assert far_lo < near_lo and near_hi < far_hi
-        near_lo, near_hi = vol.y_bounds(default_rig.z_min_m)
-        far_lo, far_hi = vol.y_bounds(default_rig.z_max_m)
+        (_, near_lo, _), (_, near_hi, _) = vol.bounds(default_rig.z_min_m)
+        (_, far_lo, _), (_, far_hi, _) = vol.bounds(default_rig.z_max_m)
         assert far_lo < near_lo and near_hi < far_hi
 
     def test_bounds_match_visibility_scan(self, default_rig):
@@ -111,7 +146,7 @@ class TestSearchVolume:
         z = 5.0
         xs = np.linspace(-5, 5, 4001)
         visible = np.array([project(default_rig, (x, 0.0, z)).visible for x in xs])
-        x_lo, x_hi = vol.x_bounds(z)
+        (x_lo, _, _), (x_hi, _, _) = vol.bounds(z)
         step = xs[1] - xs[0]
         assert xs[visible].min() == pytest.approx(x_lo, abs=step)
         assert xs[visible].max() == pytest.approx(x_hi, abs=step)
@@ -137,18 +172,9 @@ class TestSearchVolume:
         # and -0.0 on a plane at 0 (v0 = margin or H - 1 - margin puts the
         # top or bottom plane there), against the bounds in scalar form
         rig = StereoRig(CameraIntrinsics(500.0, (320.0, v0), 640, 480), baseline_m=0.4)
-        margin, f, u0, half_b = 2, 500.0, 320.0, 0.2
-
-        def bounds(z):
-            return (
-                z * ((margin - u0) / f) + half_b,
-                z * ((640 - 1 - margin - u0) / f) - half_b,
-                z * ((v0 - (480 - 1 - margin)) / f),
-                z * ((v0 - margin) / f),
-            )
 
         def inside(x, y, z):
-            x_lo, x_hi, y_lo, y_hi = bounds(z)
+            x_lo, x_hi, y_lo, y_hi = slice_bounds(rig, z)
             return rig.z_min_m <= z <= rig.z_max_m and x_lo <= x <= x_hi and y_lo <= y <= y_hi
 
         def around(b):
@@ -156,7 +182,7 @@ class TestSearchVolume:
 
         pts = []
         for z in (rig.z_min_m, 7.0, rig.z_max_m):
-            x_lo, x_hi, y_lo, y_hi = bounds(z)
+            x_lo, x_hi, y_lo, y_hi = slice_bounds(rig, z)
             x_mid, y_mid = (x_lo + x_hi) / 2, (y_lo + y_hi) / 2
             pts += [(x, y_mid, z) for x in around(x_lo) + around(x_hi)]
             pts += [(x_mid, y, z) for y in around(y_lo) + around(y_hi)]
@@ -182,11 +208,16 @@ class TestSearchVolume:
         # grid-based slice-area integration vs the closed form
         vol = search_volume(default_rig, margin=2)
         zs = np.linspace(default_rig.z_min_m, default_rig.z_max_m, 2001)
-        x_lo, x_hi = vol.x_bounds(zs)
-        y_lo, y_hi = vol.y_bounds(zs)
+        (x_lo, y_lo, _), (x_hi, y_hi, _) = vol.bounds(zs)
         areas = (x_hi - x_lo) * (y_hi - y_lo)
         numeric = np.trapezoid(areas, zs) if hasattr(np, "trapezoid") else np.trapz(areas, zs)
         assert volume_m3(default_rig) == pytest.approx(numeric, rel=1e-6)
+
+    def test_box_spans_both_end_slices(self, pp_rig):
+        lo, hi = search_volume(pp_rig, margin=2).bounding_box()
+        near, far = slice_bounds(pp_rig, pp_rig.z_min_m), slice_bounds(pp_rig, pp_rig.z_max_m)
+        assert lo.tolist() == [min(near[0], far[0]), min(near[2], far[2]), pp_rig.z_min_m]
+        assert hi.tolist() == [max(near[1], far[1]), max(near[3], far[3]), pp_rig.z_max_m]
 
     def test_reused_while_the_rig_is_equal(self, default_rig):
         vol = search_volume(default_rig, margin=2)
@@ -199,20 +230,40 @@ class TestSearchVolume:
             vol.bounding_box()[0][0] = 0.0  # shared, so read-only
 
     def test_too_small_image_rejected(self):
-        K = CameraIntrinsics(50.0, (2.0, 2.0), 5, 5)
-        rig = StereoRig(K, baseline_m=0.4)
-        with pytest.raises(ValueError):
-            search_volume(rig, margin=2)
+        # a slice needs a pixel of width and of height inside the margin
+        for size in ((5, 5), (5, 64), (64, 5)):
+            K = CameraIntrinsics(50.0, (2.0, 2.0), *size)
+            rig = StereoRig(K, baseline_m=0.4)
+            with pytest.raises(ValueError, match="too small"):
+                search_volume(rig, margin=2)
+        assert search_volume(StereoRig(CameraIntrinsics(1.0, (2.0, 2.0), 6, 6), baseline_m=0.4), margin=2).margin == 2
+
+    def test_fields_of_view_must_meet_at_z_min(self):
+        # the views' x ranges meet from depth f*b/(W - 1 - 2*margin) on,
+        # 0.315 m here
+        K = CameraIntrinsics(500.0, (0.0, 240.0), 640, 480)
+        assert search_volume(StereoRig(K, baseline_m=0.4, z_min_m=0.32), margin=2).margin == 2
+        with pytest.raises(ValueError, match=r"do not intersect at z_min_m \(need z_min >= 0\.315 m\)"):
+            search_volume(StereoRig(K, baseline_m=0.4, z_min_m=0.3), margin=2)
+        # exactly there the slice at z_min is one line, x = 0.25, and accepted
+        K = CameraIntrinsics(635.0, (2.0, 240.0), 640, 480)
+        vol = search_volume(StereoRig(K, baseline_m=0.5, z_min_m=0.5), margin=2)
+        (x_lo, _, _), (x_hi, _, _) = vol.bounds(0.5)
+        assert x_lo == x_hi == 0.25
 
 
 class TestSampling:
-    def test_all_samples_visible(self, default_rig):
+    def test_all_samples_visible(self, pp_rig):
         rng = np.random.default_rng(0)
-        pts = sample_points(default_rig, rng, 10_000, margin=2)
-        vol = search_volume(default_rig, margin=2)
+        pts = sample_points(pp_rig, rng, 10_000, margin=2)
+        vol = search_volume(pp_rig, margin=2)
         assert vol.contains(pts).all()
-        u_left, u_right, v = project_many(default_rig, pts)
-        assert visible_many(default_rig, u_left, u_right, v, pts[:, 2], margin=2).all()
+        u_left, u_right, v = project_many(pp_rig, pts)
+        assert visible_many(pp_rig, u_left, u_right, v, pts[:, 2], margin=2).all()
+        # the draws reach wherever the volume does, past its z_max slice too
+        x_lo, x_hi, y_lo, y_hi = slice_bounds(pp_rig, pp_rig.z_max_m)
+        past = (pts[:, 0] < x_lo) | (pts[:, 0] > x_hi) | (pts[:, 1] < y_lo) | (pts[:, 1] > y_hi)
+        assert past.any() == (pp_rig.intrinsics.principal_point != PRINCIPAL_POINTS["centred"])
 
     def test_lateral_mean_near_zero_on_symmetric_rig(self, symmetric_rig):
         rng = np.random.default_rng(1)
@@ -221,12 +272,12 @@ class TestSampling:
         tol = 3.0 * x.std() / np.sqrt(x.size)
         assert abs(x.mean()) < tol
 
-    def test_acceptance_fraction_matches_volume_ratio(self, default_rig):
+    def test_acceptance_fraction_matches_volume_ratio(self, pp_rig):
         # Monte-Carlo acceptance vs exact volume/box ratio, within 2%
-        vol = search_volume(default_rig, margin=2)
+        vol = search_volume(pp_rig, margin=2)
         lo, hi = vol.bounding_box()
         box_volume = float(np.prod(hi - lo))
-        expected = volume_m3(default_rig) / box_volume
+        expected = volume_m3(pp_rig) / box_volume
         rng = np.random.default_rng(2)
         draws = rng.uniform(lo, hi, size=(200_000, 3))
         measured = vol.contains(draws).mean()
