@@ -1,8 +1,16 @@
 """Plain-text key=value run configuration.
 
-One `key = value` per line, `#` starts a comment, repeated keys collect
-(used for `obstacle` lines). List values are comma- or space-separated
-numbers. Example:
+One `key = value` per line, `#` starts a comment, and a value is comma-
+or space-separated numbers. Every key but `obstacle` is read by one rule:
+- it names a model field (`image_size` sets both image sides), and the
+  field's annotation gives the count and type: a `tuple[...]` takes one
+  number per element, anything else one number, and an `int` takes
+  integers only;
+- it is given at most once; only `obstacle` lines collect, one
+  rectangle each;
+- a value the model rejects is a ConfigError, like a malformed one.
+Keys are read in field order, so an error names the first bad one.
+Example:
 
     focal_length_px = 500
     principal_point = 320, 240
@@ -19,7 +27,6 @@ numbers. Example:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import fields
 
@@ -97,92 +104,59 @@ def _numbers(value: str) -> list[float]:
     return numbers
 
 
-def _single(cfg: dict, key: str) -> str | None:
-    values = cfg.get(key)
-    if values is None:
-        return None
-    if len(values) > 1:
-        raise ConfigError(f"key {key!r} given {len(values)} times, expected once")
-    return values[0]
-
-
-def get_float(cfg: dict, key: str, default: float) -> float:
-    values = get_floats(cfg, key, None, 1)
-    return default if values is None else values[0]
-
-
 def _integer(value: float, key: str) -> int:
     if value != int(value):
         raise ConfigError(f"key {key!r} expects integers, got {value!r}")
     return int(value)
 
 
-def get_int(cfg: dict, key: str, default: int | None) -> int | None:
-    values = get_floats(cfg, key, None, 1)
-    return default if values is None else _integer(values[0], key)
-
-
-def get_floats(cfg: dict, key: str, default, count: int):
-    raw = _single(cfg, key)
-    if raw is None:
+def _read(cfg: dict, key: str, kind: str, default):
+    """The one value of ``key``, as the annotation ``kind`` says: a tuple
+    of as many numbers as it names, an int or a float; ``default`` when
+    the key is absent."""
+    values = cfg.get(key)
+    if values is None:
         return default
-    values = _numbers(raw)
-    if len(values) != count:
-        raise ConfigError(f"key {key!r} expects {count} number(s), got {len(values)}")
-    return tuple(values)
-
-
-def _config_errors(build):
-    """Re-raise a value the model classes reject as a ConfigError, so a
-    builder fails the same way for a malformed and an out-of-range value."""
-
-    @functools.wraps(build)
-    def checked(cfg: dict):
-        try:
-            return build(cfg)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    return checked
+    if len(values) > 1:
+        raise ConfigError(f"key {key!r} given {len(values)} times, expected once")
+    numbers = _numbers(values[0])
+    many = kind.startswith("tuple")
+    count = kind.count(",") + 1 if many else 1
+    if len(numbers) != count:
+        raise ConfigError(f"key {key!r} expects {count} number(s), got {len(numbers)}")
+    if "int" in kind:
+        numbers = [_integer(v, key) for v in numbers]
+    return tuple(numbers) if many else numbers[0]
 
 
 def _from_fields(cls, cfg: dict, **given):
     """A ``cls`` whose fields not in ``given`` are read from the key of
-    the field's name, as the annotation says (a float tuple, an int or a
-    float), and default to the field's own default."""
+    the field's name, in field order; a value the model rejects is raised
+    as a ConfigError, like a malformed one."""
     for f in fields(cls):
         if f.name not in given:
-            if f.type.startswith("tuple"):
-                given[f.name] = get_floats(cfg, f.name, f.default, f.type.count("float"))
-            else:
-                read = get_int if f.type.startswith("int") else get_float
-                given[f.name] = read(cfg, f.name, f.default)
-    return cls(**given)
+            given[f.name] = _read(cfg, f.name, f.type, f.default)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-@_config_errors
 def rig_from_config(cfg: dict) -> StereoRig:
     # one key sets both image sides
-    default = CameraIntrinsics()
-    size = get_floats(cfg, "image_size", (default.image_width, default.image_height), 2)
-    width, height = (_integer(v, "image_size") for v in size)
-    intrinsics = _from_fields(CameraIntrinsics, cfg, image_width=width, image_height=height)
+    size = _read(cfg, "image_size", "tuple[int, int]", (CameraIntrinsics.image_width, CameraIntrinsics.image_height))
+    intrinsics = _from_fields(CameraIntrinsics, cfg, image_width=size[0], image_height=size[1])
     return _from_fields(StereoRig, cfg, intrinsics=intrinsics)
 
 
-@_config_errors
 def evolution_params_from_config(cfg: dict) -> EvolutionParams:
     return _from_fields(EvolutionParams, cfg)
 
 
-@_config_errors
 def warning_params_from_config(cfg: dict) -> WarningParams:
     return _from_fields(WarningParams, cfg)
 
 
-@_config_errors
 def scene_from_config(cfg: dict) -> Scene:
     """Scene description; a config that carries no scene keys has none."""
     numeric_keys = [f.name for f in fields(Scene) if f.name != "obstacles"]
@@ -203,5 +177,6 @@ def scene_from_config(cfg: dict) -> Scene:
         )
         if len(values) == 7:
             rect_args["texture_cell_m"] = values[6]
-        obstacles.append(TexturedRect(**rect_args))
+        # an empty config leaves every field not given at its default
+        obstacles.append(_from_fields(TexturedRect, {}, **rect_args))
     return _from_fields(Scene, cfg, obstacles=tuple(obstacles))

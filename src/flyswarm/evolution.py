@@ -130,7 +130,8 @@ class Population:
     only the rows past ``scored_rows`` when the key matches.
     ``select_and_refill`` is the only in-place writer of ``positions``
     that keeps the cache valid; a caller that edits positions itself
-    builds a new ``Population``.
+    builds a new ``Population``. It leaves ``shared_fitness`` and
+    ``penalized`` to the next evaluation, which rewrites every row.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -362,8 +363,6 @@ def select_and_refill(
     slots = n - s
     surv_pos = np.take(population.positions, survivors, axis=0)
     surv_raw = population.raw_fitness[survivors]
-    surv_shared = population.shared_fitness[survivors]
-    surv_pen = population.penalized[survivors]
 
     n_cross, n_mut, n_imm = _offspring_counts(params, slots)
     if s < 2:
@@ -387,10 +386,6 @@ def select_and_refill(
     population.positions[s:] = children
     population.raw_fitness[:s] = surv_raw
     population.raw_fitness[s:] = 0.0
-    population.shared_fitness[:s] = surv_shared
-    population.shared_fitness[s:] = 0.0
-    population.penalized[:s] = surv_pen
-    population.penalized[s:] = False
     # survivors ascend, so those taken from scored rows lead and now fill
     # rows [:count]; their raw fitness is still the cached score
     population.scored_rows = int(np.searchsorted(survivors, population.scored_rows))

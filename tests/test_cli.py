@@ -100,11 +100,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match="integers"):
             build(parse_config_text(text))
 
-    def test_model_rejection_is_config_error(self):
-        with pytest.raises(ConfigError, match="population_size"):
-            evolution_params_from_config(parse_config_text("population_size = 1\n"))
-        with pytest.raises(ConfigError, match="baseline_m"):
-            rig_from_config(parse_config_text("baseline_m = 0\n"))
+    @pytest.mark.parametrize(
+        "text, build, match",
+        [
+            ("focal_length_px = 0\n", rig_from_config, "focal_length_px must be > 0"),
+            ("baseline_m = 0\n", rig_from_config, "baseline_m must be > 0"),
+            ("population_size = 1\n", evolution_params_from_config, "population_size"),
+            ("max_height_m = 0\n", warning_params_from_config, "min_height_m < max_height_m"),
+            ("background_grey = 300\n", scene_from_config, "background_grey must be in"),
+            ("obstacle = 0, 0, 4, 0, 1.7, 7\n", scene_from_config, "rectangle sides must be positive"),
+        ],
+        ids=["CameraIntrinsics", "StereoRig", "EvolutionParams", "WarningParams", "Scene", "TexturedRect"],
+    )
+    def test_model_rejection_is_config_error(self, text, build, match):
+        with pytest.raises(ConfigError, match=match) as caught:
+            build(parse_config_text(text))
+        assert caught.value.__suppress_context__  # the model's ValueError is not chained on
+
+    @pytest.mark.parametrize(
+        "text, build, match",
+        [
+            (
+                "population_size = 50\npopulation_size = 60\n",
+                evolution_params_from_config,
+                "key 'population_size' given 2 times, expected once",
+            ),
+            ("principal_point = 320\n", rig_from_config, r"key 'principal_point' expects 2 number\(s\), got 1"),
+            ("image_size = 640\n", rig_from_config, r"key 'image_size' expects 2 number\(s\), got 1"),
+        ],
+    )
+    def test_repeated_key_or_wrong_count_rejected(self, text, build, match):
+        with pytest.raises(ConfigError, match=match):
+            build(parse_config_text(text))
 
     @pytest.mark.parametrize(
         "text, build",
@@ -125,6 +152,9 @@ class TestConfig:
         # "," splits into no numbers at all; this used to end in an IndexError
         with pytest.raises(ConfigError, match="expected numbers"):
             evolution_params_from_config(parse_config_text("population_size = ,\n"))
+        with pytest.raises(ConfigError, match="expected numbers") as caught:
+            evolution_params_from_config(parse_config_text("population_size = ten\n"))
+        assert caught.value.__suppress_context__  # float's own error is not chained on
 
 
 KEY_GROUPS = {
@@ -434,7 +464,18 @@ class TestFailureContract:
         assert code == 2
         assert err.startswith("flyswarm: error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("line", ["baseline_m = 0", "baseline_m = nan", "selection_ratio = 0", "z_max_m = inf"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "baseline_m = 0",
+            "baseline_m = nan",
+            "selection_ratio = 0",
+            "z_max_m = inf",
+            "population_size = 50\npopulation_size = 60",
+            "principal_point = 320",
+            "image_size = 640",
+        ],
+    )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, line):
         code, out, err = self.run_detect(tmp_path, capsys, config=line + "\n")
         assert code == 2

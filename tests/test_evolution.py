@@ -262,6 +262,7 @@ class TestScoreCache:
         assert rows_scored(pop, frame) == n - s == 3000
         refill()
         # a wider second selection also keeps 1000 children that were never scored
+        apply_sharing(pop, session_rig, params)
         select_and_refill(pop, session_rig, EvolutionParams(selection_ratio=0.6), rng)
         assert rows_scored(pop, frame) == n - s
         refill()
@@ -666,20 +667,6 @@ class TestStepGeneration:
         assert np.all(pop.shared_fitness[far] == 0.0)
 
 
-def mean_generation_ms(rig, pair, population: int, generations: int) -> float:
-    """Mean wall time of ``Swarm.step`` after two warmup generations."""
-    swarm = Swarm(rig, EvolutionParams(population_size=population, rng_seed=1))
-    swarm.feed(*pair)
-    for _ in range(2):
-        swarm.step()
-    durations = []
-    for _ in range(generations):
-        t0 = time.perf_counter()
-        swarm.step()
-        durations.append(time.perf_counter() - t0)
-    return float(np.mean(durations)) * 1e3
-
-
 def interleaved_generation_ms(rig, pair, populations, generations: int) -> list[float]:
     """Median wall time of ``Swarm.step`` per population after two warmup
     generations; the swarms step in turn, so each sees the same load."""
@@ -701,8 +688,7 @@ class TestGenerationTiming:
         assert 1.4 <= big / small <= 3.0
 
     def test_repeat_stability(self, session_rig, pedestrian_pair):
-        a = mean_generation_ms(session_rig, pedestrian_pair, 2000, 20)
-        b = mean_generation_ms(session_rig, pedestrian_pair, 2000, 20)
+        a, b = interleaved_generation_ms(session_rig, pedestrian_pair, (2000, 2000), 20)
         assert abs(a - b) / max(a, b) < 0.35
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +51,14 @@ class TestUseless:
     def test_beyond_range(self, default_rig):
         y = 1.0 - default_rig.camera_height_m
         assert flagged(default_rig, (0, y, 16.5), (0, y, 15.5)) == [True, False]
+
+    def test_fly_on_a_limit_is_kept(self, default_rig):
+        # useless is strictly above max_height_m, below min_height_m or beyond
+        # max_range_m; with these binary fractions y + 1.25 lands on each limit
+        rig = dataclasses.replace(default_rig, camera_height_m=1.25)
+        pop = make_pop([(0, 0.75, 5.0), (0, -1.0, 5.0), (0, 0.0, 16.0)])
+        flag_useless(pop, rig, WarningParams(max_height_m=2.0, min_height_m=0.25, max_range_m=16.0))
+        assert pop.penalized.tolist() == [False, False, False]
 
 
 class TestWarningValue:
@@ -106,6 +116,7 @@ class TestGlobalWarning:
         report = global_warning(pop, WP)
         assert report.per_fly[3] == pytest.approx(1.0)
         assert report.global_mean == pytest.approx(1.0 / 8)
+        assert type(report.global_mean) is float
 
     def test_mean_matches_per_fly(self):
         rng = np.random.default_rng(11)
@@ -117,7 +128,7 @@ class TestGlobalWarning:
 
     def test_empty_population_rejected(self):
         pop = make_pop(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="population is empty"):
             global_warning(pop, WP)
 
 
