@@ -96,28 +96,23 @@ def _expand_pattern(pattern: str) -> list[str]:
     return [pattern]
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
+def _row(values: Iterable) -> str:
+    """One CSV line: the shortest round-trip repr of each Python int or float."""
+    return ",".join(map(repr, values))
+
+
+def _write_csv(path: Path, header: str, rows: Iterable) -> None:
+    path.write_text("\n".join([header, *map(_row, rows)]) + "\n", encoding="utf-8")
 
 
 def write_flies_csv(path: Path, pop: Population, per_fly_warning: np.ndarray) -> None:
-    # tolist() yields Python floats, whose repr is the shortest round trip
-    rows = zip(
-        pop.positions.tolist(),
-        pop.raw_fitness.tolist(),
-        pop.shared_fitness.tolist(),
-        pop.penalized.tolist(),
-        per_fly_warning.tolist(),
-    )
-    lines = ["x,y,z,raw_fitness,shared_fitness,penalized,warning"]
-    lines += [f"{x!r},{y!r},{z!r},{raw!r},{shared!r},{int(pen)},{w!r}" for (x, y, z), raw, shared, pen, w in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = (*pop.positions.T, pop.raw_fitness, pop.shared_fitness, pop.penalized.astype(int), per_fly_warning)
+    rows = zip(*(column.tolist() for column in columns))  # tolist() yields Python scalars
+    _write_csv(path, "x,y,z,raw_fitness,shared_fitness,penalized,warning", rows)
 
 
 def write_trace_csv(path: Path, rows: list[tuple[int, float]]) -> None:
-    lines = ["generation,global_warning"]
-    lines += [f"{g},{_format_float(w)}" for g, w in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, "generation,global_warning", ((int(g), float(w)) for g, w in rows))
 
 
 def _draw_markers(base: Image, u: np.ndarray, v: np.ndarray) -> Image:
@@ -143,11 +138,8 @@ def cmd_synth(args, cfg: KeyLog) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_pnm(out_dir / "left.pgm", left)
     write_pnm(out_dir / "right.pgm", right)
-    lines = ["center_x,center_y,center_z,width_m,height_m,texture_seed,texture_cell_m"]
-    for rect in scene.obstacles:
-        cx, cy, cz, width, height, cell = map(float, (*rect.center, rect.width_m, rect.height_m, rect.texture_cell_m))
-        lines.append(f"{cx!r},{cy!r},{cz!r},{width!r},{height!r},{rect.texture_seed},{cell!r}")
-    (out_dir / "truth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(*r.center, r.width_m, r.height_m, r.texture_seed, r.texture_cell_m) for r in scene.obstacles]
+    _write_csv(out_dir / "truth.csv", "center_x,center_y,center_z,width_m,height_m,texture_seed,texture_cell_m", rows)
     return 0
 
 
@@ -168,7 +160,7 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
         for _ in range(rc.generations):
             report = swarm.step()
             trace.append((len(trace) + 1, report.global_mean))
-            print(f"{len(trace)},{_format_float(report.global_mean)}")
+            print(_row(trace[-1]))
     # refresh fitness of the post-refill population so the emitted state
     # is fully evaluated against the last frame
     final = swarm.evaluate()
@@ -190,7 +182,7 @@ def cmd_detect(args, cfg: KeyLog) -> int:
         _, left, right = _render(args, cfg, rc.rig)
     swarm, final = _run(rc, [(left, right)])
     write_overlays(rc, left, right, swarm.population)
-    print(_format_float(final.global_mean))
+    print(_row([final.global_mean]))
     return 0
 
 
@@ -204,7 +196,7 @@ def cmd_sequence(args, cfg: KeyLog) -> int:
     if len(lefts) != len(rights):
         raise ConfigError(f"mismatched pair counts: {len(lefts)} left vs {len(rights)} right")
     _, final = _run(rc, _read_pairs(rc.rig, lefts, rights))
-    print(_format_float(final.global_mean))
+    print(_row([final.global_mean]))
     return 0
 
 

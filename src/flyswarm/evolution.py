@@ -289,9 +289,9 @@ def apply_sharing(population: Population, rig: StereoRig, params: EvolutionParam
 
 
 def survivor_count(ratio: float, population_size: int) -> int:
-    """ceil(ratio * N), guarding against float round-up (0.4 * 5000 = 2000)."""
-    k = math.ceil(ratio * population_size - 1e-9)
-    return min(max(k, 1), population_size)
+    """max(ceil(ratio * N), 1) without float round-up (0.07 * 100 = 7.000000000000001).
+    A ratio <= 1 keeps it <= N, since ratio * N <= N holds in floating point."""
+    return max(math.ceil(ratio * population_size - 1e-9), 1)
 
 
 def elite(fitness: np.ndarray, k: int) -> np.ndarray:

@@ -4,15 +4,22 @@ Images are stored as C-contiguous uint8 numpy arrays, (H, W) for grey
 and (H, W, 3) for colour, and are treated as immutable once constructed;
 a decoded image enforces it, as a read-only view over the file's bytes. Pixel
 coordinates follow the (column, row) convention of stereo_geometry.
+
+A PNM header is the magic ``P5`` (grey) or ``P6`` (colour), then width, height
+and maxval as ASCII decimal integers, each after whitespace or ``#`` comments
+(a comment runs to the end of its line), then one whitespace byte; maxval is 255.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# whitespace and comments, then one header token (empty at the end of data)
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 class PnmParseError(ValueError):
@@ -41,26 +48,6 @@ class Image:
         return cls(np.ascontiguousarray(arr))
 
 
-def _next_token(data: bytes, pos: int):
-    """Skip whitespace and '#' comments, return (token, start, end)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PnmParseError(f"unexpected end of header at offset {pos}")
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], start, pos
-
-
 def load_pnm(data: bytes) -> Image:
     """Decode binary PGM (P5) or PPM (P6) with maxval 255.
 
@@ -75,17 +62,24 @@ def load_pnm(data: bytes) -> Image:
     pos = 2
     fields = []
     for _ in range(3):
-        token, start, pos = _next_token(data, pos)
+        match = _TOKEN.match(data, pos)
+        token, start, pos = match[1], match.start(1), match.end()
+        if not token:
+            raise PnmParseError(f"unexpected end of header at offset {start}")
+        if start == 2:
+            raise PnmParseError("expected whitespace or a comment after the magic at offset 2")
         try:
+            if not token.isdigit():  # ASCII digits only: no sign, no '_'
+                raise ValueError
             fields.append(int(token))
-        except ValueError:
+        except ValueError:  # int() also refuses more digits than its limit
             raise PnmParseError(f"invalid header integer {token!r} at offset {start}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PnmParseError(f"non-positive image dimensions {width}x{height} at offset 2")
     if maxval != 255:
         raise PnmParseError(f"unsupported maxval {maxval} at offset {start} (only 255)")
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not data[pos : pos + 1].isspace():
         raise PnmParseError(f"expected whitespace after maxval at offset {pos}")
     pos += 1
     need = width * height * channels

@@ -46,6 +46,11 @@ class TexturedRect:
         if self.texture_cell_m <= 0:
             raise ValueError("texture_cell_m must be positive")
 
+    def covers(self, x, y):
+        """Whether (x, y) lies within the rectangle's sides; elementwise on arrays."""
+        cx, cy, _ = self.center
+        return (abs(x - cx) <= self.width_m / 2) & (abs(y - cy) <= self.height_m / 2)
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -87,40 +92,28 @@ def _render_view(scene: Scene, rig: StereoRig, cam_x: float) -> np.ndarray:
     u0, v0 = K.principal_point
     w, h = K.image_width, K.image_height
     dir_x = (np.arange(w, dtype=np.float64) - u0) / f  # per column
-    dir_y = -(np.arange(h, dtype=np.float64) - v0) / f  # per row, world-y slope
+    dir_y = -(np.arange(h, dtype=np.float64)[:, None] - v0) / f  # per row, world-y slope
 
     img = np.full((h, w), np.uint8(scene.background_grey))
     zbuf = np.full((h, w), np.inf)
 
-    if scene.ground_texture_seed is not None and rig.camera_height_m > 0:
+    def paint(depth, a, b, cell, seed, hit):
+        """Texture the ``hit`` pixels nearest yet by the cells of surface coordinates (a, b)."""
+        hit = hit & (depth < zbuf)
+        ia, ib = (np.broadcast_to(np.floor(v / cell), hit.shape)[hit] for v in (a, b))
+        img[hit] = _block_noise(ia, ib, seed)
+        np.copyto(zbuf, depth, where=hit)
+
+    if scene.ground_texture_seed is not None:
         descending = dir_y < 0
-        t = np.zeros(h)
-        t[descending] = -rig.camera_height_m / dir_y[descending]  # per row
-        zg = np.broadcast_to(t[:, None], (h, w))
-        hit = (zg > 0) & (zg < zbuf)
-        xg = cam_x + dir_x[None, :] * t[:, None]
-        cell = scene.ground_texture_cell_m
-        ix = np.floor(xg / cell)
-        iz = np.floor(zg / cell)
-        img[hit] = _block_noise(ix[hit], iz[hit], scene.ground_texture_seed)
-        zbuf = np.where(hit, zg, zbuf)
+        t = np.zeros((h, 1))  # per row, the depth where its rays meet the ground; 0 if they do not
+        t[descending] = -rig.camera_height_m / dir_y[descending]  # 0 too for a camera on the ground
+        paint(t, cam_x + dir_x * t, t, scene.ground_texture_cell_m, scene.ground_texture_seed, t > 0)
 
     for rect in scene.obstacles:
         cx, cy, cz = rect.center
-        x = cam_x + dir_x[None, :] * cz
-        y = dir_y[:, None] * cz
-        hit = (
-            (np.abs(x - cx) <= rect.width_m / 2)
-            & (np.abs(y - cy) <= rect.height_m / 2)
-            & (cz < zbuf)
-        )
-        iu = np.floor((x - cx) / rect.texture_cell_m)
-        iv = np.floor((y - cy) / rect.texture_cell_m)
-        tex = _block_noise(
-            np.broadcast_to(iu, (h, w))[hit], np.broadcast_to(iv, (h, w))[hit], rect.texture_seed
-        )
-        img[hit] = tex
-        zbuf[hit] = cz
+        x, y = cam_x + dir_x * cz, dir_y * cz
+        paint(cz, x - cx, y - cy, rect.texture_cell_m, rect.texture_seed, rect.covers(x, y))
 
     return img
 
@@ -137,14 +130,7 @@ def ground_truth_depth(scene: Scene, point) -> float | None:
 
     The ground plane is parallel to +z rays and therefore never counts.
     """
-    x, y = float(point[0]), float(point[1])
-    best = None
-    for rect in scene.obstacles:
-        cx, cy, cz = rect.center
-        if abs(x - cx) <= rect.width_m / 2 and abs(y - cy) <= rect.height_m / 2:
-            if best is None or cz < best:
-                best = cz
-    return best
+    return min((rect.center[2] for rect in scene.obstacles if rect.covers(point[0], point[1])), default=None)
 
 
 PRESET_NAMES = ("empty-road", "pedestrian-4m")

@@ -338,6 +338,12 @@ class TestDetectCommand:
         assert [int(r[0]) for r in rows] == list(range(1, 13))
         assert all(float(r[1]) >= 0 for r in rows)
 
+    def test_trace_csv_of_numpy_scalars(self, tmp_path):
+        # numpy 2 writes repr(np.float64(0.5)) as "np.float64(0.5)"; the
+        # file holds the plain shortest round-trip decimal
+        cli.write_trace_csv(tmp_path / "trace.csv", [(1, np.float64(0.5)), (np.int64(2), np.float32(0.25))])
+        assert (tmp_path / "trace.csv").read_text() == "generation,global_warning\n1,0.5\n2,0.25\n"
+
     def test_warning_column_roundtrip(self, detect_run):
         # recomputing the warning from the CSV's F, x, z and penalized
         # columns reproduces the warning column

@@ -470,6 +470,14 @@ class TestSelect:
         assert survivor_count(0.4, 11) == 5  # ceil(4.4)
         assert survivor_count(1.0, 7) == 7
         assert survivor_count(0.0001, 5) == 1
+        assert survivor_count(1e-12, 5) == 1  # ceil gives 0 here; one fly always survives
+        assert survivor_count(0.07, 100) == 7  # 0.07 * 100 is 7.000000000000001
+        assert survivor_count(0.50000000015, 10) == 6  # 1.5e-9 past 5 is past the 1e-9 tolerance
+
+    @given(ratio=st.floats(0.0, 1.0, exclude_min=True), n=st.integers(1, 2**53))
+    def test_survivor_count_stays_within_the_population(self, ratio, n):
+        # ratio * n <= n holds in floating point for ratio <= 1, so no upper clamp is needed
+        assert 1 <= survivor_count(ratio, n) <= n
 
 
 class TestCrossover:
@@ -486,6 +494,11 @@ class TestCrossover:
     def test_quarter_weight(self):
         got = crossover(np.array([4.0, 0.0, 8.0]), np.array([0.0, 8.0, 4.0]), 0.25)
         assert got.tolist() == [1.0, 6.0, 5.0]
+
+    def test_per_row_weights_as_a_list(self):
+        p1 = np.array([[4.0, 0.0, 8.0], [0.0, 0.0, 2.0]])
+        p2 = np.array([[0.0, 8.0, 4.0], [2.0, 4.0, 6.0]])
+        assert crossover(p1, p2, [0.25, 0.5]).tolist() == [[1.0, 6.0, 5.0], [1.0, 2.0, 4.0]]
 
     def test_accepts_fly_records(self):
         # (N, 3) parent records with one weight per row, as the refill uses it
@@ -656,6 +669,27 @@ class TestStepGeneration:
         swarm = self._setup(small_rig, population_size=10, selection_ratio=0.05, rng_seed=1)  # one survivor
         swarm.step()
         assert len(swarm.population) == 10
+
+    @pytest.mark.parametrize(
+        "size, ratio, copies",
+        [(10, 0.1, [True] * 8 + [False]), (5, 0.4, [False, False, True])],
+        ids=["one-survivor", "two-survivors"],
+    )
+    def test_few_survivors_split_the_slots(self, small_rig, size, ratio, copies):
+        # at zero sigma a mutant is a copy of its parent, so the rows show which
+        # operator made them: one survivor hands crossover's 4 slots to
+        # mutation (4 + 4 copies, 1 immigrant), two survivors already cross
+        # (2 children, 1 copy)
+        params = EvolutionParams(population_size=size, selection_ratio=ratio, mutation_sigma=(0.0, 0.0, 0.0))
+        rng = np.random.default_rng(5)
+        pop = Population.initialize(small_rig, params, rng)
+        pop.shared_fitness[:] = np.arange(size, 0, -1)  # the first rows survive
+        s = survivor_count(ratio, size)
+        survivors = pop.positions[:s].copy()
+        select_and_refill(pop, small_rig, params, rng)
+        assert np.array_equal(pop.positions[:s], survivors)
+        children = pop.positions[s:]
+        assert (children[:, None] == survivors).all(axis=2).any(axis=1).tolist() == copies
 
     def test_warning_params_respected(self, small_rig):
         wp = WarningParams(max_range_m=1.0 + 1e-6, z_clamp_m=0.5)

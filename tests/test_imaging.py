@@ -29,6 +29,8 @@ class TestPnm:
         data = b"P5\n# a comment\n2 # inline\n1\n255\n" + bytes([9, 8])
         img = load_pnm(data)
         assert img.samples.tolist() == [[9, 8]]
+        # a comment may follow the magic directly
+        assert load_pnm(b"P5#c\n1 1 255\n\x07").samples.tolist() == [[7]]
 
     def test_bad_magic(self):
         with pytest.raises(PnmParseError, match="offset 0"):
@@ -63,9 +65,38 @@ class TestPnm:
         with pytest.raises(ValueError, match="uint8"):
             Image.from_array(np.ones((4, 4), dtype=dtype))
 
-    def test_non_numeric_header(self):
-        with pytest.raises(PnmParseError, match="offset"):
-            load_pnm(b"P5\nzz 2\n255\n" + bytes(4))
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5\nzz 2\n255\n", "invalid header integer b'zz' at offset 3"),
+            # int() reads a sign and '_' separators, a header integer does not
+            (b"P5 +2 0_2 2_55\n", r"invalid header integer b'\+2' at offset 3"),
+            (b"P5 2 0_2 255\n", "invalid header integer b'0_2' at offset 5"),
+            (b"P5 -2 2 255\n", "invalid header integer b'-2' at offset 3"),
+            # the magic runs into the width
+            (b"P52 2 255\n", "expected whitespace or a comment after the magic at offset 2"),
+        ],
+        ids=["letters", "sign-and-underscores", "underscore", "minus", "no-separator-after-magic"],
+    )
+    def test_non_numeric_header(self, data, message):
+        with pytest.raises(PnmParseError, match=message):
+            load_pnm(data + bytes(4))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5 2 2", "unexpected end of header at offset 6"),
+            (b"P5 # only a comment\n", "unexpected end of header at offset 20"),
+            (b"P5 0 1 255\n", "non-positive image dimensions 0x1 at offset 2"),
+            (b"P5 1 0 255\n", "non-positive image dimensions 1x0 at offset 2"),
+            (b"P5 1 1 255", "expected whitespace after maxval at offset 10"),
+            (b"P5 1 1 255#\n\x00", "expected whitespace after maxval at offset 10"),
+        ],
+        ids=["ends-after-height", "only-a-comment", "zero-width", "zero-height", "ends-at-maxval", "comment-at-maxval"],
+    )
+    def test_malformed_header_names_offset(self, data, message):
+        with pytest.raises(PnmParseError, match=message):
+            load_pnm(data)
 
     @given(
         data=st.one_of(

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,25 +98,45 @@ def test_ground_rows_textured(default_rig):
     assert np.all(left.samples[: int(v0)] == 135)  # above horizon
     bottom = left.samples[-1]
     assert bottom.min() != bottom.max()  # textured
+    # a camera 0.3 m up meets the road under a metre away in its bottom rows
+    low, _ = render_stereo_pair(scene, dataclasses.replace(default_rig, camera_height_m=0.3))
+    assert low.samples[-1].min() != low.samples[-1].max()
 
 
 class TestGroundTruthDepth:
     def test_inside_rect(self):
         rect = TexturedRect(center=(0.0, 0.0, 5.0), width_m=1.0, height_m=1.0, texture_seed=0)
         scene = Scene(obstacles=(rect,))
-        assert ground_truth_depth(scene, (0.2, -0.3, 1.0)) == 5.0
+        # the edges are inside, as in the renderer
+        for x, y in [(0.2, -0.3), (0.5, 0.0), (0.0, -0.5)]:
+            assert ground_truth_depth(scene, (x, y, 1.0)) == 5.0
 
     def test_outside_everything(self):
         rect = TexturedRect(center=(0.0, 0.0, 5.0), width_m=1.0, height_m=1.0, texture_seed=0)
         scene = Scene(obstacles=(rect,))
-        assert ground_truth_depth(scene, (3.0, 0.0, 1.0)) is None
+        for x, y in [(3.0, 0.0), (-3.0, 0.0), (0.0, 3.0), (0.0, -3.0)]:
+            assert ground_truth_depth(scene, (x, y, 1.0)) is None
         assert ground_truth_depth(Scene(ground_texture_seed=1), (0.0, 0.0, 1.0)) is None
+
+    def test_point_is_read_as_x_then_y(self):
+        rect = TexturedRect(center=(0.0, 1.0, 5.0), width_m=1.0, height_m=1.0, texture_seed=0)
+        scene = Scene(obstacles=(rect,))
+        assert ground_truth_depth(scene, (0.0, 1.0, 1.0)) == 5.0
+        assert ground_truth_depth(scene, (1.0, 0.0, 1.0)) is None
 
     def test_overlapping_rects_nearest_wins(self):
         a = TexturedRect(center=(0.0, 0.0, 6.0), width_m=1.0, height_m=1.0, texture_seed=0)
         b = TexturedRect(center=(0.0, 0.0, 4.0), width_m=1.0, height_m=1.0, texture_seed=0)
         scene = Scene(obstacles=(a, b))
         assert ground_truth_depth(scene, (0.0, 0.0, 1.0)) == 4.0
+
+
+def test_rendering_raises_no_numpy_warning(default_rig, pedestrian_scene):
+    # the ray of row v0 = 240 is level, and dividing the camera height by
+    # its zero slope would warn on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        render_stereo_pair(pedestrian_scene, default_rig)
 
 
 def test_preset_names(default_rig):
