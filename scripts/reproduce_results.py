@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flyswarm.cli import main as flyswarm_main
+from flyswarm.cli import main as flyswarm_main, write_trace_csv
 from flyswarm.config import rig_from_config
 from flyswarm.evolution import EvolutionParams, Swarm
 from flyswarm.synth import preset_scene, render_stereo_pair
@@ -44,8 +44,7 @@ def run(out_dir: Path, seed: int, generations: int) -> None:
         swarm = swarm_on(pair, rig, params)
         trace = np.array([swarm.step().global_mean for _ in range(generations)])
         means[name] = trace[-30:].mean()
-        np.savetxt(out_dir / f"trace_{name}.csv", np.column_stack([np.arange(1, trace.size + 1), trace]),
-                   delimiter=",", header="generation,global_warning", comments="")
+        write_trace_csv(out_dir / f"trace_{name}.csv", list(enumerate(trace, start=1)))
         print(f"{name}: steady global warning {means[name]:.3f}")
     ratio = means["pedestrian-4m"] / means["empty-road"]
     print(f"discrimination ratio: {ratio:.1f}")

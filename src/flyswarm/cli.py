@@ -44,7 +44,7 @@ from .config import (
 )
 from .evolution import EvolutionParams, Population, Swarm, check_rig_match, elite
 from .imaging import Image, read_pnm, write_pnm
-from .stereo_geometry import StereoRig, project_many
+from .stereo_geometry import StereoRig, project_many, search_volume
 from .synth import PRESET_NAMES, Scene, preset_scene, render_stereo_pair
 from .warning import WarningParams, WarningReport
 
@@ -70,6 +70,7 @@ def _run_config(args, cfg: KeyLog) -> RunConfig:
     rig, evo = rig_from_config(cfg), evolution_params_from_config(cfg)
     flags = {"population_size": args.population, "rng_seed": args.seed}
     evo = replace(evo, **{key: value for key, value in flags.items() if value is not None})
+    search_volume(rig, evo.neighborhood_radius)  # a rig without one fails before detect renders
     return RunConfig(rig, evo, warning_params_from_config(cfg), args.generations, Path(args.out))
 
 
@@ -122,7 +123,7 @@ def _draw_markers(base: Image, u: np.ndarray, v: np.ndarray) -> Image:
     vv = np.rint(v).astype(np.int64)[:, None] + [0, 0, 0, 1, -1]
     inside = (uu >= 0) & (uu < base.width) & (vv >= 0) & (vv < base.height)
     rgb[vv[inside], uu[inside]] = MARKER_RGB
-    return Image.from_array(rgb)
+    return Image(rgb)
 
 
 def write_overlays(rc: RunConfig, left: Image, right: Image, pop: Population) -> None:

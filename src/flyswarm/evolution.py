@@ -7,14 +7,14 @@ generation and ``evaluate`` scores the final population. One generation,
 in order:
 
 1. evaluate the raw fitness of every fly against the current frame
-   (survivors of the last selection keep theirs while the frame, rig,
-   radius and epsilon are unchanged, so only the new flies are scored),
+   (survivors of the last selection keep theirs while the frame, rig
+   and params are unchanged, so only the new flies are scored),
 2. flag useless flies and apply fitness sharing,
 3. compute the global warning of the evaluated population,
 4. keep the best ``selection_ratio`` of the population (elitist,
    deterministic, ties to the lower index),
 5. refill the vacated slots with barycentric crossover, Gaussian
-   mutation and fresh immigrants.
+   mutation and, in the slots left over, fresh immigrants.
 
 The fitness of a fly is the product of the Sobel gradient norms at its
 two projections divided by the (epsilon-shifted) sum of squared
@@ -46,7 +46,6 @@ largest value instead of sorting it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,19 +66,15 @@ DEFAULT_SIGMA_FRACTION = 0.001
 
 _LUMA = np.asarray(LUMA_WEIGHTS)
 
-# Serial number of each StereoFrame: a population's cached scores name the
-# frame by it, so they neither keep a dead frame alive nor match a new
-# frame that happens to reuse its id().
-_FRAME_SERIALS = itertools.count()
 
-
-@dataclass
+@dataclass(frozen=True)
 class EvolutionParams:
-    """All rates and tolerances of the evolutionary loop.
+    """All rates and tolerances of the evolutionary loop; frozen, so that a
+    score cache can name the params it scored with.
 
-    The offspring mix (crossover/mutation/immigration fractions) applies
-    to the replaced part of the population and must sum to 1.
-    ``mutation_sigma`` is per-axis in metres; None derives it as 0.1% of
+    Crossover and mutation take their fractions (at most 1 together) of
+    the slots selection frees; immigrants take the rest. ``mutation_sigma``
+    is per-axis in metres, a tuple of floats; None derives it as 0.1% of
     each search-volume bounding-box extent.
     """
 
@@ -87,7 +82,6 @@ class EvolutionParams:
     selection_ratio: float = 0.40
     mutation_fraction: float = 0.40
     crossover_fraction: float = 0.50
-    immigration_fraction: float = 0.10
     mutation_sigma: tuple[float, float, float] | None = None
     neighborhood_radius: int = 2
     sharing_cell_px: int = 8
@@ -100,13 +94,13 @@ class EvolutionParams:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if not (0.0 < self.selection_ratio <= 1.0):
             raise ValueError(f"selection_ratio must be in (0, 1], got {self.selection_ratio}")
-        for name in ("mutation_fraction", "crossover_fraction", "immigration_fraction"):
+        for name in ("mutation_fraction", "crossover_fraction"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        total = self.mutation_fraction + self.crossover_fraction + self.immigration_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"offspring fractions must sum to 1, got {total}")
+        total = self.mutation_fraction + self.crossover_fraction
+        if total > 1.0 + 1e-9:
+            raise ValueError(f"mutation and crossover fractions must sum to at most 1, got {total}")
         if self.fitness_epsilon <= 0:
             raise ValueError(f"fitness_epsilon must be > 0, got {self.fitness_epsilon}")
         if self.neighborhood_radius < 0 or self.sharing_cell_px < 1:
@@ -118,14 +112,14 @@ class EvolutionParams:
             sigma = np.asarray(self.mutation_sigma, dtype=np.float64)
             if sigma.shape != (3,) or np.any(sigma < 0):
                 raise ValueError("mutation_sigma must be three non-negative values")
+            object.__setattr__(self, "mutation_sigma", tuple(sigma.tolist()))
 
 
 class Population:
     """Fixed-size swarm stored as parallel arrays.
 
-    ``raw_fitness`` doubles as a score cache: ``score_key`` names the
-    frame (by serial number), rig, ``neighborhood_radius`` and
-    ``fitness_epsilon`` it was scored with, and ``scored_rows`` how many
+    ``raw_fitness`` doubles as a score cache: ``score_key`` holds the
+    frame, rig and params it was scored with, and ``scored_rows`` how many
     leading rows still hold that score. ``evaluate_population`` scores
     only the rows past ``scored_rows`` when the key matches.
     ``select_and_refill`` is the only in-place writer of ``positions``
@@ -157,8 +151,8 @@ class Population:
 
 
 class StereoFrame:
-    """One stereo pair: the two uint8 images, checked to match, and a
-    serial number that names the frame in a population's score cache.
+    """One stereo pair: the two uint8 images, checked to match. The frame
+    object itself names the pair in a population's score cache.
 
     Nothing is computed over the whole frame. ``evaluate_population``
     gathers one uint8 window per view around each new fly's rounded
@@ -172,7 +166,6 @@ class StereoFrame:
             raise ValueError(f"images must be at least 3x3, got {left.width}x{left.height}")
         self.left = left
         self.right = right
-        self.serial = next(_FRAME_SERIALS)
 
 
 def check_rig_match(image: Image, rig: StereoRig, name: str) -> Image:
@@ -187,13 +180,12 @@ def evaluate_population(population: Population, frame: StereoFrame, rig: StereoR
     """Raw fitness for every fly; 0 for flies whose windows leave either image.
 
     Every step of the score is per fly, so rows already scored on this
-    frame, rig, radius and epsilon (the survivors of ``select_and_refill``)
-    keep their bits and only the rows after them are scored. A frame of
-    another size than the rig's is a ValueError.
+    frame, rig and params (the survivors of ``select_and_refill``) keep
+    their bits and only the rows after them are scored. A frame of another
+    size than the rig's (its two views share one) is a ValueError.
     """
     check_rig_match(frame.left, rig, "left")
-    check_rig_match(frame.right, rig, "right")
-    key = (frame.serial, rig, params.neighborhood_radius, params.fitness_epsilon)
+    key = (frame, rig, params)
     start = population.scored_rows if population.score_key == key else 0
     population.raw_fitness[start:] = _raw_fitness(population.positions[start:], frame, rig, params)
     population.score_key, population.scored_rows = key, len(population)

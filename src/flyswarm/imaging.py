@@ -1,9 +1,9 @@
 """Intensity rasters and binary PNM I/O.
 
-Images are stored as C-contiguous uint8 numpy arrays, (H, W) for grey
-and (H, W, 3) for colour, and are treated as immutable once constructed;
-a decoded image enforces it, as a read-only view over the file's bytes. Pixel
-coordinates follow the (column, row) convention of stereo_geometry.
+Images are C-contiguous uint8 numpy arrays, (H, W) for grey and (H, W, 3)
+for colour; strided samples are copied to C order. They are immutable once
+constructed, which a decoded image enforces as a read-only view over the
+file's bytes. Pixel coordinates are (column, row), as in stereo_geometry.
 
 A PNM header is the magic ``P5`` (grey) or ``P6`` (colour), then width, height
 and maxval as ASCII decimal integers, each after whitespace or ``#`` comments
@@ -27,25 +27,19 @@ class PnmParseError(ValueError):
 
 
 class Image:
-    """One raster; its width, height and channel count are read off the samples."""
+    """One raster; its width, height and channel count are read off the
+    samples. The fitness reads each fly's window rows through a view of the
+    samples as one flat buffer, so they are kept in C order: strided samples
+    are copied, C-ordered ones (a decode's read-only view) are kept as given."""
 
     def __init__(self, samples: np.ndarray):
         if samples.dtype != np.uint8:
             raise ValueError(f"samples must be uint8, got {samples.dtype}")
         if samples.ndim not in (2, 3) or samples.shape[2:] not in ((), (3,)):
             raise ValueError(f"expected (H, W) or (H, W, 3) array, got shape {samples.shape}")
-        # the fitness reads each fly's window rows through a view of the
-        # samples as one flat buffer, which strided samples do not have
-        if not samples.flags.c_contiguous:
-            raise ValueError("samples must be C-contiguous; build the image with Image.from_array")
-        self.samples = samples
+        self.samples = np.ascontiguousarray(samples)
         self.height, self.width = samples.shape[:2]
         self.channels = 1 if samples.ndim == 2 else 3
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Image":
-        """The image of a uint8 array, copied to C order if it is strided."""
-        return cls(np.ascontiguousarray(arr))
 
 
 def load_pnm(data: bytes) -> Image:

@@ -158,7 +158,7 @@ class SearchVolume:
         if lo[0, 0] > hi[0, 0]:  # x at z_min
             raise ValueError(
                 "fields of view do not intersect at z_min_m "
-                f"(need z_min >= {f * rig.baseline_m / (K.image_width - 1 - 2 * margin):.3f} m)"
+                f"(need z_min >= {f * rig.baseline_m / (K.image_width - 1 - 2 * margin):.3g} m)"
             )
         # the bounds are linear, so the end slices hold their extremes;
         # read-only, as the volume is shared

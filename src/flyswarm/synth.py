@@ -122,7 +122,7 @@ def render_stereo_pair(scene: Scene, rig: StereoRig) -> tuple[Image, Image]:
     """Render the scene from both cameras. Deterministic per (scene, rig)."""
     left = _render_view(scene, rig, -0.5 * rig.baseline_m)
     right = _render_view(scene, rig, +0.5 * rig.baseline_m)
-    return Image.from_array(left), Image.from_array(right)
+    return Image(left), Image(right)
 
 
 def ground_truth_depth(scene: Scene, point) -> float | None:

@@ -78,7 +78,7 @@ def colour_pair(pair):
     """A colour version of a grey pair; one channel mix applied to both
     views keeps the pair photo-consistent."""
     return tuple(
-        Image.from_array(np.stack([s, 255 - s, (s.astype(np.uint16) * 3 % 256).astype(np.uint8)], axis=2))
+        Image(np.stack([s, 255 - s, (s.astype(np.uint16) * 3 % 256).astype(np.uint8)], axis=2))
         for s in (pair[0].samples, pair[1].samples)
     )
 

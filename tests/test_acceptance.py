@@ -347,8 +347,8 @@ def test_a8_intensity_shift_invariance(session_rig, pedestrian_pair):
     left, right = pedestrian_pair
     assert int(left.samples.max()) <= 230 and int(right.samples.max()) <= 230
     shifted = (
-        Image.from_array(left.samples + 25),
-        Image.from_array(right.samples + 25),
+        Image(left.samples + 25),
+        Image(right.samples + 25),
     )
     params = EvolutionParams()
     pts = sample_points(session_rig, np.random.default_rng(8), 1000, margin=params.neighborhood_radius)

@@ -160,7 +160,7 @@ class TestConfig:
 KEY_GROUPS = {
     "rig": "focal_length_px principal_point image_size baseline_m camera_height_m z_min_m z_max_m".split(),
     "evolution": (
-        "population_size selection_ratio mutation_fraction crossover_fraction immigration_fraction "
+        "population_size selection_ratio mutation_fraction crossover_fraction "
         "mutation_sigma neighborhood_radius sharing_cell_px sharing_exponent fitness_epsilon rng_seed"
     ).split(),
     "warning": "max_height_m min_height_m max_range_m x_clamp_m z_clamp_m".split(),
@@ -405,7 +405,7 @@ class TestDetectCommand:
         assert got == expected
 
     def test_markers_are_clipped_to_the_image(self):
-        base = Image.from_array(np.zeros((4, 5), dtype=np.uint8))
+        base = Image(np.zeros((4, 5), dtype=np.uint8))
         # rounded centres (0, 0), (4, 3), (5, 1) just right of the image, (-2, 9) far outside
         marked = cli._draw_markers(base, np.array([0.4, 3.6, 5.0, -2.0]), np.array([-0.4, 3.2, 1.0, 9.0]))
         red = {(u, v) for v, u in zip(*np.nonzero(marked.samples[:, :, 0]))}
@@ -524,6 +524,22 @@ class TestFailureContract:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("flyswarm: error: search volume overflows") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    # warnings as errors: detect rendered its pair before building the
+    # search volume, so the render warned twice, and the bound then
+    # printed with 297 digits
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("line", ["focal_length_px = 1e300", "baseline_m = 1e300"])
+    def test_oversized_rig_exits_2_before_detect_renders(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        capsys.readouterr()
+        code = main(["detect", "--preset", "pedestrian-4m", "--config", str(conf), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("flyswarm: error: fields of view do not intersect") and captured.err.count("\n") == 1
+        assert max(map(len, re.findall(r"[0-9.e+-]+", captured.err))) <= 20
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_config_number_rejected(self):

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ def fitness_of(positions, frame, rig, params) -> np.ndarray:
 
 class TestFitness:
     def test_uniform_region_scores_zero(self, default_rig, default_params):
-        flat = Image.from_array(np.full((480, 640), 90, dtype=np.uint8))
+        flat = Image(np.full((480, 640), 90, dtype=np.uint8))
         frame = StereoFrame(flat, flat)
         assert fitness_of([0.0, 0.0, 5.0], frame, default_rig, default_params).tolist() == [0.0]
 
@@ -52,8 +54,8 @@ class TestFitness:
         rng = np.random.default_rng(0)
         base = rng.integers(0, 256, size=(480, 700), dtype=np.uint8)
         position = [0.0, 0.0, 10.0]  # disparity f*b/z = 20 px
-        left = Image.from_array(base[:, :640])
-        right = Image.from_array(base[:, 20 : 640 + 20])
+        left = Image(base[:, :640])
+        right = Image(base[:, 20 : 640 + 20])
         gl, gr = sobel_norm_map(left), sobel_norm_map(right)
         [got] = fitness_of(position, StereoFrame(left, right), default_rig, default_params)
         p = project(default_rig, position)
@@ -92,7 +94,7 @@ class TestFitness:
         # the flies project onto the rig's raster: a smaller frame ended in
         # an IndexError, a larger one in a run that read the wrong pixels
         (w, h), (rig_w, rig_h) = frame_size, rig_size
-        image = Image.from_array(np.random.default_rng(5).integers(0, 256, (h, w), dtype=np.uint8))
+        image = Image(np.random.default_rng(5).integers(0, 256, (h, w), dtype=np.uint8))
         rig = StereoRig(CameraIntrinsics(rig_w * 500 / 640, (rig_w / 2, rig_h / 2), rig_w, rig_h), baseline_m=0.4)
         swarm = Swarm(rig, EvolutionParams(population_size=200))
         swarm.feed(image, image)
@@ -106,7 +108,7 @@ class TestFitness:
         position = [0.0, 0.0, 0.015]
         assert search_volume(rig, margin=2).contains(position).all()
         rng = np.random.default_rng(6)
-        left, right = (Image.from_array(rng.integers(0, 256, (480, 640), dtype=np.uint8)) for _ in range(2))
+        left, right = (Image(rng.integers(0, 256, (480, 640), dtype=np.uint8)) for _ in range(2))
         [got] = fitness_of(position, StereoFrame(left, right), rig, default_params)
         grads = sobel_norm_map(left), sobel_norm_map(right)
         assert got == naive_fitness(position, left, right, *grads, rig, default_params)
@@ -114,8 +116,8 @@ class TestFitness:
 
     def test_intensity_shift_leaves_fitness(self, session_rig, default_params, pedestrian_pair):
         left, right = pedestrian_pair
-        shifted_l = Image.from_array(left.samples + 25)
-        shifted_r = Image.from_array(right.samples + 25)
+        shifted_l = Image(left.samples + 25)
+        shifted_r = Image(right.samples + 25)
         rng = np.random.default_rng(4)
         pop = Population(sample_points(session_rig, rng, 1000, margin=2))
         evaluate_population(pop, StereoFrame(left, right), session_rig, default_params)
@@ -156,7 +158,7 @@ class TestFitnessKernel:
     def test_any_centre_matches_reference_oracle(self, seed, height, width, channels, radius, centres):
         rng = np.random.default_rng(seed)
         shape = (height, width) if channels == 1 else (height, width, 3)
-        left, right = (Image.from_array(rng.integers(0, 256, shape, dtype=np.uint8)) for _ in range(2))
+        left, right = (Image(rng.integers(0, 256, shape, dtype=np.uint8)) for _ in range(2))
         # focal length 100 px, baseline 1 m, principal point at the origin
         rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), width, height), baseline_m=1.0)
         u_right, disparity, v = np.array(centres).reshape(-1, 3).T  # no centres: no rows to score
@@ -170,7 +172,7 @@ class TestFitnessKernel:
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_fitness_bit_identical_to_reference(self, session_rig, pedestrian_pair, radius):
         rng = np.random.default_rng(radius)
-        noise = tuple(Image.from_array(rng.integers(0, 256, (480, 640, 3), dtype=np.uint8)) for _ in range(2))
+        noise = tuple(Image(rng.integers(0, 256, (480, 640, 3), dtype=np.uint8)) for _ in range(2))
         params = EvolutionParams(neighborhood_radius=radius)
         pts = sample_points(session_rig, rng, 150, margin=0)
         for left, right in (pedestrian_pair, colour_pair(pedestrian_pair), noise):
@@ -188,7 +190,7 @@ class TestFitnessKernel:
         stripes = np.tile(np.repeat(np.uint8([0, 255]), 2), (420, 105))
         if channels == 3:
             stripes = np.repeat(stripes[:, :, None], 3, axis=2)
-        left, right = Image.from_array(stripes), Image.from_array(255 - stripes)
+        left, right = Image(stripes), Image(255 - stripes)
         rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), 420, 420), baseline_m=1.0)
         u_left, disparity, v = np.array([(200.0, 4.0, 200.0), (250.0, 8.0, 150.0), (300.0, 12.0, 260.0)]).T
         z = 100.0 / disparity
@@ -203,7 +205,7 @@ class TestFitnessKernel:
         # a fly whose rounded centre lies on the 1 px border is visible at
         # radius 0, but the reference map is 0 there
         rng = np.random.default_rng(13)
-        a = Image.from_array(rng.integers(0, 256, (6, 8), dtype=np.uint8))
+        a = Image(rng.integers(0, 256, (6, 8), dtype=np.uint8))
         centres = [((7, 3), (2, 3)), ((4, 0), (1, 0)), ((5, 5), (3, 5)), ((3, 2), (0, 2)), ((5, 3), (2, 3))]
         got = window_fitness(a, a, centres, 0)
         assert got[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
@@ -218,7 +220,7 @@ class TestFitnessKernel:
 
     @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (1, 1)])
     def test_images_under_3x3_rejected(self, shape):
-        img = Image.from_array(np.zeros(shape, dtype=np.uint8))
+        img = Image(np.zeros(shape, dtype=np.uint8))
         with pytest.raises(ValueError, match="at least 3x3"):
             StereoFrame(img, img)
 
@@ -268,7 +270,7 @@ class TestScoreCache:
         refill()
         assert rows_scored(pop, StereoFrame(*pedestrian_pair)) == n  # equal pixels, new frame
         refill()
-        inverted = StereoFrame(*(Image.from_array(255 - img.samples) for img in pedestrian_pair))
+        inverted = StereoFrame(*(Image(255 - img.samples) for img in pedestrian_pair))
         assert rows_scored(pop, inverted) == n
         refill()
         assert rows_scored(pop, inverted, params=EvolutionParams(fitness_epsilon=2.0)) == n
@@ -325,7 +327,7 @@ class TestScoreCache:
         swarm.feed(*pedestrian_pair)
         frame = swarm.frame
         other = list(pedestrian_pair)
-        other[changed] = Image.from_array(255 - other[changed].samples)
+        other[changed] = Image(255 - other[changed].samples)
         scored = self._rows_scored_per_step(monkeypatch, swarm, [pedestrian_pair, other])
         assert swarm.frame is not frame
         assert (swarm.frame.left, swarm.frame.right) == tuple(other)
@@ -388,11 +390,14 @@ class TestSharing:
         assert total == pytest.approx(pop.raw_fitness.sum(), rel=1e-9)
 
     def test_cell_wider_than_int64(self, default_rig):
-        # used to end in an OverflowError; every visible fly shares one cell
-        pop = Population(sample_points(default_rig, np.random.default_rng(7), 50, margin=2))
-        pop.raw_fitness[:] = 5.0
-        apply_sharing(pop, default_rig, EvolutionParams(sharing_cell_px=2**70))
-        assert np.all(pop.shared_fitness == 0.1)
+        # used to end in an OverflowError; every visible fly shares one
+        # cell, on a portrait image too
+        portrait = StereoRig(CameraIntrinsics(500.0, (240.0, 320.0), 480, 640), baseline_m=0.4)
+        for rig in (default_rig, portrait):
+            pop = Population(sample_points(rig, np.random.default_rng(7), 50, margin=2))
+            pop.raw_fitness[:] = 5.0
+            apply_sharing(pop, rig, EvolutionParams(sharing_cell_px=2**70))
+            assert np.all(pop.shared_fitness == 0.1)
 
     def test_penalized_forced_to_zero(self, default_rig, default_params):
         pop = Population(np.tile([0.0, 0.0, 5.0], (3, 1)))
@@ -411,11 +416,37 @@ class TestSharing:
 
     @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 2.0])
     def test_exponent(self, default_rig, exponent):
-        # four flies on one point share one cell; 4 ** exponent is exact
-        pop = Population(np.tile([0.0, 0.0, 5.0], (4, 1)))
-        pop.raw_fitness[:] = np.random.default_rng(3).uniform(0.0, 100.0, 4)
-        apply_sharing(pop, default_rig, EvolutionParams(sharing_exponent=exponent))
-        assert pop.shared_fitness.tobytes() == (pop.raw_fitness / 4.0**exponent).tobytes()
+        # flies on one point share one cell; the occupancy is raised to
+        # the exponent in float64 (3 ** 0.5 is not exact in float32)
+        for count in (3, 4):
+            pop = Population(np.tile([0.0, 0.0, 5.0], (count, 1)))
+            pop.raw_fitness[:] = np.random.default_rng(3).uniform(0.0, 100.0, count)
+            apply_sharing(pop, default_rig, EvolutionParams(sharing_exponent=exponent))
+            assert pop.shared_fitness.tobytes() == (pop.raw_fitness / float(count) ** exponent).tobytes()
+
+    # in the second rig the last column and row start a cell of their own
+    @pytest.mark.parametrize("w, h", [(640, 480), (641, 481)])
+    def test_edge_and_ring_cells_against_cell_oracle(self, default_params, w, h):
+        # flies in the first and last cells of each side of the image, next
+        # to them, and off every side and corner, where the projections are
+        # clipped to a ring of cells; only flies on the image score, as
+        # evaluate_population guarantees. The occupancy must be that of
+        # the unbounded grid.
+        rig = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), w, h), baseline_m=0.4)
+        cell = default_params.sharing_cell_px
+        us = [-10**6, -9, -1, 0, 3, 7, 8, 12, w - 9, w - 8, w - 1, w, w + 7, w + 8, 10**6]
+        vs = [-10**6, -9, -1, 0, 7, 8, h - 9, h - 8, h - 1, h, h + 7, h + 8, 10**6]
+        pixels = [(u, v) for u in us for v in vs for _ in range(1 + (u + v) % 3)]
+        # at depth f = 500 m a left pixel is (u0 + x + b/2, v0 - y)
+        pop = Population([(u - 320.0 - 0.2, 240.0 - v, 500.0) for u, v in pixels])
+        u_left, _, v_px = project_many(rig, pop.positions)
+        assert np.rint(u_left).tolist() == [u for u, _ in pixels] and np.rint(v_px).tolist() == [v for _, v in pixels]
+        on_image = [0 <= u < w and 0 <= v < h for u, v in pixels]
+        pop.raw_fitness[:] = np.where(on_image, 1.0 + np.arange(len(pixels)), 0.0)
+        apply_sharing(pop, rig, default_params)
+        cells = [(u // cell, v // cell) for u, v in pixels]
+        expected = [raw / cells.count(c) for raw, c in zip(pop.raw_fitness.tolist(), cells)]
+        assert pop.shared_fitness.tolist() == expected
 
 
 def _tied_fitness() -> list[float]:
@@ -727,18 +758,19 @@ class TestGenerationTiming:
 
 
 @st.composite
-def offspring_fractions(draw) -> tuple[float, float, float]:
-    """Crossover, mutation and immigration fractions that sum to 1."""
+def offspring_fractions(draw) -> tuple[float, float]:
+    """Crossover and mutation fractions with c + m <= 1; immigrants take the rest."""
     crossover = draw(st.floats(0.0, 1.0))
     mutation = draw(st.floats(0.0, 1.0 - crossover))
-    return crossover, mutation, 1.0 - crossover - mutation
+    return crossover, mutation
 
 
 @given(fractions=offspring_fractions(), slots=st.integers(0, 10_000))
-@example(fractions=(0.5, 0.5, 0.0), slots=7)  # 3.5 and 3.5 both round to 4
+@example(fractions=(0.5, 0.5), slots=7)  # 3.5 and 3.5 both round to 4
+@example(fractions=(0.25, 0.25), slots=8)  # half the slots left to immigrants
 def test_offspring_counts_fill_the_slots(fractions, slots):
-    c, m, i = fractions
-    counts = _offspring_counts(EvolutionParams(crossover_fraction=c, mutation_fraction=m, immigration_fraction=i), slots)
+    c, m = fractions
+    counts = _offspring_counts(EvolutionParams(crossover_fraction=c, mutation_fraction=m), slots)
     n_cross, n_mut, n_imm = counts
     assert min(counts) >= 0 and sum(counts) == slots
     assert n_cross == round(c * slots)
@@ -759,15 +791,85 @@ def test_offspring_counts_default_mix():
 def test_params_validation():
     with pytest.raises(ValueError):
         EvolutionParams(population_size=1)
-    with pytest.raises(ValueError):
-        EvolutionParams(mutation_fraction=0.5)  # fractions no longer sum to 1
+    with pytest.raises(ValueError, match="at most 1"):
+        EvolutionParams(mutation_fraction=0.6)  # with crossover's 0.5, 1.1 of the slots
     with pytest.raises(ValueError):
         EvolutionParams(fitness_epsilon=0.0)
     with pytest.raises(ValueError):
         EvolutionParams(selection_ratio=1.5)
+    # a negative share would pass the sum check and take slots from the others
+    for bad in (dict(mutation_fraction=-0.1), dict(crossover_fraction=-0.1), dict(crossover_fraction=1.2, mutation_fraction=-0.3)):
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            EvolutionParams(**bad)
+    for bad in (dict(neighborhood_radius=-1), dict(sharing_cell_px=0)):
+        with pytest.raises(ValueError, match="neighborhood_radius must be >= 0 and sharing_cell_px >= 1"):
+            EvolutionParams(**bad)
+
+
+def test_params_at_their_bounds_accepted():
+    params = EvolutionParams(population_size=2, neighborhood_radius=0, sharing_cell_px=1, sharing_exponent=0.0)
+    assert (params.population_size, params.neighborhood_radius, params.sharing_cell_px) == (2, 0, 1)
+    EvolutionParams(crossover_fraction=1.0, mutation_fraction=0.0)
 
 
 def test_zero_selection_ratio_rejected():
     # used to be accepted and silently clamped to a single survivor
     with pytest.raises(ValueError, match="selection_ratio"):
         EvolutionParams(selection_ratio=0.0)
+
+
+def test_slots_not_given_to_crossover_or_mutation_take_immigrants():
+    params = EvolutionParams(mutation_fraction=0.3)  # with crossover's 0.5, 0.2 left to immigrants
+    assert _offspring_counts(params, 3000) == (1500, 900, 600)
+    # a sum past 1 by no more than rounding error is accepted, the bound included
+    EvolutionParams(crossover_fraction=0.7, mutation_fraction=0.3 + 1e-10)
+    EvolutionParams(crossover_fraction=1.0, mutation_fraction=1e-9)
+
+
+class TestFrozenParams:
+    def test_fields_cannot_be_assigned(self):
+        params = EvolutionParams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.neighborhood_radius = 3
+
+    @pytest.mark.parametrize("sigma", [[0.1, 0, 2], np.array([0.1, 0.0, 2.0]), np.array([0.1, 0, 2], dtype=np.float32)])
+    def test_mutation_sigma_stored_as_a_tuple_of_floats(self, sigma):
+        params = EvolutionParams(mutation_sigma=sigma)
+        assert type(params.mutation_sigma) is tuple
+        assert all(type(v) is float for v in params.mutation_sigma)
+        assert params.mutation_sigma == tuple(np.asarray(sigma, dtype=np.float64).tolist())
+        assert params == EvolutionParams(mutation_sigma=tuple(params.mutation_sigma))
+
+    def test_survivors_keep_their_scores_under_equal_params(self, monkeypatch, session_rig, pedestrian_pair):
+        scored = []
+        raw_fitness = evolution._raw_fitness
+
+        def recording(positions, *args):
+            scored.append(len(positions))
+            return raw_fitness(positions, *args)
+
+        monkeypatch.setattr(evolution, "_raw_fitness", recording)
+        params = EvolutionParams(mutation_sigma=[0.01, 0.01, 0.05], rng_seed=25)
+        rng = np.random.default_rng(25)
+        pop = Population.initialize(session_rig, params, rng)
+        frame = StereoFrame(*pedestrian_pair)
+        evaluate_population(pop, frame, session_rig, params)
+        apply_sharing(pop, session_rig, params)
+        select_and_refill(pop, session_rig, params, rng)
+        twin = EvolutionParams(**params.__dict__)
+        assert twin is not params and twin == params
+        evaluate_population(pop, frame, session_rig, twin)
+        n, s = len(pop), survivor_count(params.selection_ratio, len(pop))
+        assert scored == [n, n - s]
+
+
+def test_population_keeps_alive_only_the_frame_it_was_last_scored_on(session_rig, pedestrian_pair):
+    params = EvolutionParams(population_size=50, rng_seed=26)
+    pop = Population.initialize(session_rig, params, np.random.default_rng(26))
+    frame_a = StereoFrame(*pedestrian_pair)
+    evaluate_population(pop, frame_a, session_rig, params)
+    dead = weakref.ref(frame_a)
+    evaluate_population(pop, StereoFrame(*pedestrian_pair), session_rig, params)
+    del frame_a
+    gc.collect()
+    assert dead() is None

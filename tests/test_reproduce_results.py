@@ -15,5 +15,10 @@ def test_short_run_prints_every_section(tmp_path, capsys):
     for text in ("steady global warning", "discrimination ratio", "crossed the presets' midpoint", "ms/generation"):
         assert text in out
     for name in ("empty-road", "pedestrian-4m"):
-        assert len((tmp_path / f"trace_{name}.csv").read_text().splitlines()) == 1 + 5
+        header, *rows = (tmp_path / f"trace_{name}.csv").read_text().splitlines()
+        assert header == "generation,global_warning" and len(rows) == 5
+        for g, row in enumerate(rows, start=1):
+            # the CLI's trace format: an int, then the shortest repr of a float
+            generation, warning = row.split(",")
+            assert generation == str(g) and warning == repr(float(warning))
         assert (tmp_path / name / "left.pgm").exists()
