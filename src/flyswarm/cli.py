@@ -13,7 +13,10 @@ each pair only when the run reaches it) and always write
 ``warning_trace.csv`` and ``flies.csv``; ``detect`` also writes
 ``overlay_left.ppm`` and ``overlay_right.ppm``, a red cross on each of the
 OVERLAY_TOP_K flies of highest shared fitness, ties to the lower index.
-All outputs are deterministic for a fixed seed. Rejected input (flags,
+All outputs are deterministic for a fixed seed. Writers stream: a CSV file
+gets each line as its row is formatted (``flies.csv`` FLIES_BLOCK flies at
+a time) and a PNM file its samples' own buffer after the header, so no
+output is ever held whole as text or bytes. Rejected input (flags,
 config values, a config key the command does not read, PNM bytes, sizes
 too large to allocate) ends in exit code 2 and a one-line message on
 stderr before any output. A reader that closes stdout early ends the run
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import glob
+import itertools
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -50,6 +54,7 @@ from .warning import WarningParams, WarningReport
 
 MARKER_RGB = (255, 0, 0)
 OVERLAY_TOP_K = 250  # flies marked on each overlay
+FLIES_BLOCK = 512  # flies turned into Python scalars (tolist) at once
 
 
 @dataclass
@@ -103,13 +108,15 @@ def _row(values: Iterable) -> str:
 
 
 def _write_csv(path: Path, header: str, rows: Iterable) -> None:
-    path.write_text("\n".join([header, *map(_row, rows)]) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(_row(row) + "\n" for row in rows)
 
 
 def write_flies_csv(path: Path, pop: Population, per_fly_warning: np.ndarray) -> None:
     columns = (*pop.positions.T, pop.raw_fitness, pop.shared_fitness, pop.penalized.astype(int), per_fly_warning)
-    rows = zip(*(column.tolist() for column in columns))  # tolist() yields Python scalars
-    _write_csv(path, "x,y,z,raw_fitness,shared_fitness,penalized,warning", rows)
+    blocks = (zip(*(col[i : i + FLIES_BLOCK].tolist() for col in columns)) for i in range(0, len(pop), FLIES_BLOCK))
+    _write_csv(path, "x,y,z,raw_fitness,shared_fitness,penalized,warning", itertools.chain.from_iterable(blocks))
 
 
 def write_trace_csv(path: Path, rows: list[tuple[int, float]]) -> None:

@@ -85,10 +85,12 @@ def load_pnm(data: bytes) -> Image:
     return Image(flat.reshape(shape))
 
 
+def _pnm_header(image: Image) -> bytes:
+    return b"%s\n%d %d\n255\n" % (b"P5" if image.channels == 1 else b"P6", image.width, image.height)
+
+
 def save_pnm(image: Image) -> bytes:
-    magic = b"P5" if image.channels == 1 else b"P6"
-    header = magic + b"\n%d %d\n255\n" % (image.width, image.height)
-    return header + image.samples.tobytes()
+    return _pnm_header(image) + image.samples.tobytes()
 
 
 def read_pnm(path) -> Image:
@@ -97,5 +99,7 @@ def read_pnm(path) -> Image:
 
 
 def write_pnm(path, image: Image) -> None:
+    """``save_pnm``'s bytes, written from the samples' own buffer without a copy."""
     with open(path, "wb") as fh:
-        fh.write(save_pnm(image))
+        fh.write(_pnm_header(image))
+        fh.write(image.samples.data)

@@ -9,6 +9,12 @@ exactly the photo-consistency the fitness function rewards.
 
 Texture values stay within [16, 224] so tests can shift intensities by
 +-25 grey levels without clipping.
+
+A view is painted in bands of BAND_ROWS rows, each with its own slice of
+the row slopes, its own depth buffer and its own temporaries. Every step is
+per pixel, so the bytes do not depend on the band height; the peak memory
+follows the band, not the image. A surface point whose texture cell index
+is not an int64 (a rig or scene far past any real one) raises ValueError.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .stereo_geometry import StereoRig
 
 TEXTURE_LO = 16
 TEXTURE_SPAN = 209  # values in [16, 224]
+BAND_ROWS = 32  # image rows painted at once
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -86,34 +93,38 @@ def _block_noise(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
     return (TEXTURE_LO + (h % np.uint64(TEXTURE_SPAN))).astype(np.uint8)
 
 
+def _paint(img, zbuf, depth, a, b, cell, seed, hit) -> None:
+    """Texture the ``hit`` pixels nearest yet in ``zbuf`` by the cells of surface
+    coordinates (a, b); a cell index that is not an int64 raises ValueError."""
+    hit = hit & (depth < zbuf)
+    ia, ib = (np.broadcast_to(np.floor(v / cell), hit.shape)[hit] for v in (a, b))
+    if not all(((-(2.0**63) <= i) & (i < 2.0**63)).all() for i in (ia, ib)):  # False for inf and nan too
+        raise ValueError(f"surface coordinates beyond 2**63 texture cells of {cell} m: the rig or scene is too large")
+    img[hit] = _block_noise(ia, ib, seed)
+    np.copyto(zbuf, depth, where=hit)
+
+
 def _render_view(scene: Scene, rig: StereoRig, cam_x: float) -> np.ndarray:
     K = rig.intrinsics
     f = K.focal_length_px
     u0, v0 = K.principal_point
     w, h = K.image_width, K.image_height
     dir_x = (np.arange(w, dtype=np.float64) - u0) / f  # per column
-    dir_y = -(np.arange(h, dtype=np.float64)[:, None] - v0) / f  # per row, world-y slope
+    dir_y_all = -(np.arange(h, dtype=np.float64)[:, None] - v0) / f  # per row, world-y slope
 
     img = np.full((h, w), np.uint8(scene.background_grey))
-    zbuf = np.full((h, w), np.inf)
-
-    def paint(depth, a, b, cell, seed, hit):
-        """Texture the ``hit`` pixels nearest yet by the cells of surface coordinates (a, b)."""
-        hit = hit & (depth < zbuf)
-        ia, ib = (np.broadcast_to(np.floor(v / cell), hit.shape)[hit] for v in (a, b))
-        img[hit] = _block_noise(ia, ib, seed)
-        np.copyto(zbuf, depth, where=hit)
-
-    if scene.ground_texture_seed is not None:
-        descending = dir_y < 0
-        t = np.zeros((h, 1))  # per row, the depth where its rays meet the ground; 0 if they do not
-        t[descending] = -rig.camera_height_m / dir_y[descending]  # 0 too for a camera on the ground
-        paint(t, cam_x + dir_x * t, t, scene.ground_texture_cell_m, scene.ground_texture_seed, t > 0)
-
-    for rect in scene.obstacles:
-        cx, cy, cz = rect.center
-        x, y = cam_x + dir_x * cz, dir_y * cz
-        paint(cz, x - cx, y - cy, rect.texture_cell_m, rect.texture_seed, rect.covers(x, y))
+    for top in range(0, h, BAND_ROWS):
+        band, dir_y = img[top : top + BAND_ROWS], dir_y_all[top : top + BAND_ROWS]
+        zbuf = np.full(band.shape, np.inf)
+        if scene.ground_texture_seed is not None:
+            descending = dir_y < 0
+            t = np.zeros(dir_y.shape)  # per row, the depth where its rays meet the ground; 0 if they do not
+            t[descending] = -rig.camera_height_m / dir_y[descending]  # 0 too for a camera on the ground
+            _paint(band, zbuf, t, cam_x + dir_x * t, t, scene.ground_texture_cell_m, scene.ground_texture_seed, t > 0)
+        for rect in scene.obstacles:
+            cx, cy, cz = rect.center
+            x, y = cam_x + dir_x * cz, dir_y * cz
+            _paint(band, zbuf, cz, x - cx, y - cy, rect.texture_cell_m, rect.texture_seed, rect.covers(x, y))
 
     return img
 

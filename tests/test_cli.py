@@ -542,6 +542,31 @@ class TestFailureContract:
         assert max(map(len, re.findall(r"[0-9.e+-]+", captured.err))) <= 20
         assert not (tmp_path / "out").exists()
 
+    # warnings as errors: the renderer cast texture cell indices beyond
+    # int64 with numpy's "invalid value" warning, then wrote its files
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("synth", "focal_length_px = 1e300"),
+            ("synth", "baseline_m = 1e300"),
+            ("synth", "camera_height_m = 1e300"),
+            ("synth", "camera_height_m = 1e17"),
+            ("detect", "camera_height_m = 1e300"),
+            ("detect", "camera_height_m = 1e17"),
+        ],
+    )
+    def test_scene_beyond_the_texture_cells_exits_2_before_any_output(self, tmp_path, capsys, command, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        capsys.readouterr()
+        code = main([command, "--preset", "pedestrian-4m", "--config", str(conf), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("flyswarm: error: surface coordinates beyond 2**63 texture cells of 0.03 m")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # no left.pgm, no flies.csv
+
     def test_non_finite_config_number_rejected(self):
         for value in ("nan", "inf", "-inf", "0.4, nan"):
             with pytest.raises(ConfigError, match="finite"):

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import window_fitness
 from flyswarm.evolution import StereoFrame
-from flyswarm.imaging import Image, PnmParseError, load_pnm, save_pnm
+from flyswarm.imaging import Image, PnmParseError, load_pnm, save_pnm, write_pnm
 from reference import sobel_norm_map, ssd_oracle
 
 
@@ -165,6 +165,17 @@ class TestPnm:
         again = load_pnm(save_pnm(img))
         assert np.array_equal(img.samples, again.samples)
         assert again.channels == 3
+
+    @pytest.mark.parametrize("shape, header", [((5, 7), b"P5\n7 5\n255\n"), ((5, 7, 3), b"P6\n7 5\n255\n")])
+    @pytest.mark.parametrize("decoded", [False, True])
+    def test_write_pnm_writes_save_pnm_bytes(self, tmp_path, shape, header, decoded):
+        img = Image(np.random.default_rng(4).integers(0, 256, shape, dtype=np.uint8))
+        if decoded:
+            img = load_pnm(save_pnm(img))
+            assert not img.samples.flags.writeable  # a view over the bytes, written without a copy
+        write_pnm(tmp_path / "x.pnm", img)
+        data = (tmp_path / "x.pnm").read_bytes()
+        assert data == save_pnm(img) == header + img.samples.tobytes()
 
 
 class TestSobel:

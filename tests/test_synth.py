@@ -3,11 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flyswarm.imaging import save_pnm
+from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig
 from flyswarm.synth import (
+    BAND_ROWS,
     Scene,
     TexturedRect,
+    _paint,
     ground_truth_depth,
     preset_scene,
     render_stereo_pair,
@@ -137,6 +141,66 @@ def test_rendering_raises_no_numpy_warning(default_rig, pedestrian_scene):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         render_stereo_pair(pedestrian_scene, default_rig)
+
+
+rects = st.builds(
+    TexturedRect,
+    center=st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.5, 10)),
+    width_m=st.floats(0.1, 3),
+    height_m=st.floats(0.1, 3),
+    texture_seed=st.integers(0, 2**31),
+    texture_cell_m=st.floats(0.01, 0.2),
+)
+
+
+@given(
+    width=st.integers(1, 40),
+    height=st.integers(1, 3 * BAND_ROWS + 7),
+    rows=st.data(),
+    focal=st.floats(10, 400),
+    baseline=st.floats(0.05, 1),
+    camera_height=st.floats(0, 3),
+    obstacles=st.lists(rects, max_size=3),
+    ground=st.none() | st.integers(0, 1000),
+)
+def test_a_crop_renders_the_same_rows(width, height, rows, focal, baseline, camera_height, obstacles, ground):
+    # bands start at row 0 of each rig, so the crop's band edges fall on
+    # other rows of the full image than its own; principal points on a
+    # quarter pixel keep v0 - r0 exact
+    r0 = rows.draw(st.integers(0, height - 1))
+    r1 = rows.draw(st.integers(r0 + 1, height))
+    v0 = rows.draw(st.integers(4 * r0, 4 * r1 - 1)) / 4
+    u0 = rows.draw(st.integers(0, 4 * width - 1)) / 4
+    scene = Scene(obstacles=tuple(obstacles), ground_texture_seed=ground)
+
+    def rendered(r0, r1, v0):
+        rig = StereoRig(CameraIntrinsics(focal, (u0, v0), width, r1 - r0), baseline, camera_height)
+        return [image.samples for image in render_stereo_pair(scene, rig)]
+
+    full, crop = rendered(0, height, v0), rendered(r0, r1, v0 - r0)
+    for whole, part in zip(full, crop):
+        assert np.array_equal(whole[r0:r1], part)
+
+
+# a cell index names an int64 cell or raises: 2**63 - 1024 is the largest
+# float below 2**63, and -2**63 - 2048 the next float below -2**63
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "coord, fits",
+    [(-(2.0**63), True), (2.0**63 - 1024, True), (2.0**63, False), (-(2.0**63) - 2048, False)]
+    + [(v, False) for v in (np.inf, -np.inf, np.nan)],
+)
+@pytest.mark.parametrize("axis", [0, 1])
+def test_paint_takes_exactly_the_int64_cells(coord, fits, axis):
+    img, zbuf = np.zeros((1, 2), np.uint8), np.full((1, 2), np.inf)
+    a, b = np.array([[coord, 3.0]]), np.array([[3.0, 3.0]])
+    args = (img, zbuf, 1.0, *((a, b) if axis == 0 else (b, a)), 1.0, 7, np.ones((1, 2), bool))
+    if fits:
+        _paint(*args)
+        assert np.all(img >= 16) and np.all(zbuf == 1.0)
+    else:
+        with pytest.raises(ValueError, match="beyond 2\\*\\*63 texture cells of 1.0 m"):
+            _paint(*args)
 
 
 def test_preset_names(default_rig):
