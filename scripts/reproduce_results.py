@@ -16,7 +16,7 @@ import numpy as np
 from flyswarm.cli import main as flyswarm_main, write_trace_csv
 from flyswarm.config import rig_from_config
 from flyswarm.evolution import EvolutionParams, Swarm
-from flyswarm.synth import preset_scene, render_stereo_pair
+from flyswarm.imaging import read_pnm
 
 
 def swarm_on(pair, rig, params) -> Swarm:
@@ -31,12 +31,12 @@ def run(out_dir: Path, seed: int, generations: int) -> None:
     params = EvolutionParams(rng_seed=seed)
 
     print("== rendering presets ==")
+    pairs = {}
     for preset in ("empty-road", "pedestrian-4m"):
         code = flyswarm_main(["synth", "--preset", preset, "--out", str(out_dir / preset)])
         assert code == 0
         print(f"rendered {preset} -> {out_dir / preset}")
-
-    pairs = {name: render_stereo_pair(preset_scene(name, rig), rig) for name in ("empty-road", "pedestrian-4m")}
+        pairs[preset] = (read_pnm(out_dir / preset / "left.pgm"), read_pnm(out_dir / preset / "right.pgm"))
 
     print("\n== steady-state global warnings ==")
     means = {}

@@ -1,10 +1,10 @@
 """Command-line pipeline: synth, detect, sequence.
 
-Each command reads only the config keys it uses: ``synth`` the rig and
-scene keys; ``detect`` and ``sequence`` the rig, evolution and warning
-keys, and ``detect`` the scene keys too when it renders its pair from the
-config (neither ``--preset`` nor ``--left``/``--right``). The number of
-generations per pair is set by ``--generations`` alone (default 100 for
+``synth`` renders the pair of ``--preset`` or of the scene keys; ``detect``
+and ``sequence`` read theirs from the files ``--left`` and ``--right`` name.
+Each command reads one fixed set of config keys: ``synth`` the rig and
+scene keys, the other two the rig, evolution and warning keys. The number
+of generations per pair is set by ``--generations`` alone (default 100 for
 ``detect``, 1 for ``sequence``).
 detect/sequence print one `generation,global_warning` CSV line per
 generation to stdout, then the final global warning on its own line.
@@ -48,8 +48,8 @@ from .config import (
 )
 from .evolution import EvolutionParams, Population, Swarm, check_rig_match, elite
 from .imaging import Image, read_pnm, write_pnm
-from .stereo_geometry import StereoRig, project_many, search_volume
-from .synth import PRESET_NAMES, Scene, preset_scene, render_stereo_pair
+from .stereo_geometry import StereoRig, project_many
+from .synth import PRESET_NAMES, preset_scene, render_stereo_pair
 from .warning import WarningParams, WarningReport
 
 MARKER_RGB = (255, 0, 0)
@@ -71,20 +71,13 @@ class RunConfig:
 
 
 def _run_config(args, cfg: KeyLog) -> RunConfig:
-    """The rig, evolution and warning keys, with the flags over them."""
-    rig, evo = rig_from_config(cfg), evolution_params_from_config(cfg)
+    """The rig, evolution and warning keys, with the flags over them; any
+    other key is an error."""
+    rig, evo, warn = rig_from_config(cfg), evolution_params_from_config(cfg), warning_params_from_config(cfg)
+    cfg.reject_unread()
     flags = {"population_size": args.population, "rng_seed": args.seed}
     evo = replace(evo, **{key: value for key, value in flags.items() if value is not None})
-    search_volume(rig, evo.neighborhood_radius)  # a rig without one fails before detect renders
-    return RunConfig(rig, evo, warning_params_from_config(cfg), args.generations, Path(args.out))
-
-
-def _render(args, cfg: KeyLog, rig: StereoRig) -> tuple[Scene, Image, Image]:
-    """Render the scene of ``--preset``, else of the scene keys, once every
-    key the command reads has been read and none is left over."""
-    scene = preset_scene(args.preset, rig) if args.preset else scene_from_config(cfg)
-    cfg.reject_unread()
-    return (scene, *render_stereo_pair(scene, rig))
+    return RunConfig(rig, evo, warn, args.generations, Path(args.out))
 
 
 def _read_pairs(rig: StereoRig, lefts: list[str], rights: list[str]) -> Iterator[tuple[Image, Image]]:
@@ -141,7 +134,10 @@ def write_overlays(rc: RunConfig, left: Image, right: Image, pop: Population) ->
 
 
 def cmd_synth(args, cfg: KeyLog) -> int:
-    scene, left, right = _render(args, cfg, rig_from_config(cfg))
+    rig = rig_from_config(cfg)
+    scene = preset_scene(args.preset, rig) if args.preset else scene_from_config(cfg)
+    cfg.reject_unread()
+    left, right = render_stereo_pair(scene, rig)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_pnm(out_dir / "left.pgm", left)
@@ -159,8 +155,8 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
     ``frames`` is consumed one pair at a time, so a lazy iterable keeps at
     most the frame in use and the pair being decoded in memory.
     """
+    swarm = Swarm(rc.rig, rc.evo, rc.warn)  # a rig without a search volume fails here, before any output
     rc.out_dir.mkdir(parents=True, exist_ok=True)
-    swarm = Swarm(rc.rig, rc.evo, rc.warn)
     trace: list[tuple[int, float]] = []
     for left, right in frames:
         swarm.feed(left, right)
@@ -179,15 +175,7 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
 
 def cmd_detect(args, cfg: KeyLog) -> int:
     rc = _run_config(args, cfg)
-    if args.left or args.right:
-        if args.preset:
-            raise ConfigError("--preset and --left/--right are two scenes; pass one of them")
-        if not (args.left and args.right):
-            raise ConfigError("--left and --right must be given together")
-        cfg.reject_unread()
-        left, right = next(_read_pairs(rc.rig, [args.left], [args.right]))
-    else:
-        _, left, right = _render(args, cfg, rc.rig)
+    left, right = next(_read_pairs(rc.rig, [args.left], [args.right]))
     swarm, final = _run(rc, [(left, right)])
     write_overlays(rc, left, right, swarm.population)
     print(_row([final.global_mean]))
@@ -196,11 +184,7 @@ def cmd_detect(args, cfg: KeyLog) -> int:
 
 def cmd_sequence(args, cfg: KeyLog) -> int:
     rc = _run_config(args, cfg)
-    cfg.reject_unread()
-    if not (args.left and args.right):
-        raise ConfigError("sequence needs --left and --right file patterns")
-    lefts = _expand_pattern(args.left)
-    rights = _expand_pattern(args.right)
+    lefts, rights = _expand_pattern(args.left), _expand_pattern(args.right)
     if len(lefts) != len(rights):
         raise ConfigError(f"mismatched pair counts: {len(lefts)} left vs {len(rights)} right")
     _, final = _run(rc, _read_pairs(rc.rig, lefts, rights))
@@ -216,8 +200,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 def _add_run(sp: argparse.ArgumentParser, inputs: str, generations: int) -> None:
     """The flags of the commands that evolve a swarm."""
     _add_common(sp)
-    sp.add_argument("--left", metavar=inputs)
-    sp.add_argument("--right", metavar=inputs)
+    sp.add_argument("--left", required=True, metavar=inputs)
+    sp.add_argument("--right", required=True, metavar=inputs)
     sp.add_argument("--generations", type=int, default=generations, metavar="N", help="generations per pair")
     sp.add_argument("--population", type=int, metavar="N", help="override population_size")
     sp.add_argument("--seed", type=int, metavar="N", help="override rng_seed")
@@ -244,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("detect", help="evolve the swarm on one stereo pair")
     _add_run(sp, "PATH", generations=100)
-    sp.add_argument("--preset", choices=PRESET_NAMES, help="render this scene instead of reading files")
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("sequence", help="run on an ordered stereo-pair sequence")

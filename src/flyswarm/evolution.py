@@ -108,10 +108,17 @@ class EvolutionParams:
         # a negative exponent would turn the crowding penalty into a reward
         if self.sharing_exponent < 0:
             raise ValueError(f"sharing_exponent must be >= 0, got {self.sharing_exponent}")
+        try:  # no sharing cell holds more flies than the population, so this bounds every divisor
+            math.pow(self.population_size, self.sharing_exponent)
+        except OverflowError:
+            n, e = self.population_size, self.sharing_exponent
+            raise ValueError(f"population_size ** sharing_exponent overflows: {n} ** {e}") from None
         if self.mutation_sigma is not None:
+            # numpy's normal draws stay below 13.8 (the ziggurat's tail ends at r + 53 ln(2) / r for
+            # r = 3.654), so a sigma below 2**1020 keeps every mutation step, sigma times a draw, finite
             sigma = np.asarray(self.mutation_sigma, dtype=np.float64)
-            if sigma.shape != (3,) or np.any(sigma < 0):
-                raise ValueError("mutation_sigma must be three non-negative values")
+            if sigma.shape != (3,) or np.any(sigma < 0) or np.any(sigma >= 2.0**1020):
+                raise ValueError(f"mutation_sigma must be three values in [0, 2**1020), got {self.mutation_sigma}")
             object.__setattr__(self, "mutation_sigma", tuple(sigma.tolist()))
 
 

@@ -73,14 +73,14 @@ class StereoRig:
             raise ValueError(f"camera_height_m must be >= 0, got {self.camera_height_m}")
         if not (0 < self.z_min_m < self.z_max_m):
             raise ValueError(f"need 0 < z_min_m < z_max_m, got {self.z_min_m}, {self.z_max_m}")
-        # bounds the widest side of the search volume's box, which every
-        # fly draw scales: past the float range a draw is NaN, never inside
+        # no point of the search volume lies further than reach off the optical axis in x or y:
+        # the box's widest side bounds every fly draw (past the float range a draw is NaN, never
+        # inside), and reach^2 * z_max_m bounds the warning's divisor x^2 * z
         K = self.intrinsics
-        widest = 2 * self.z_max_m * max(K.image_width, K.image_height) / K.focal_length_px + self.baseline_m
-        if not math.isfinite(widest):
-            raise ValueError(
-                f"search volume overflows: 2 * z_max_m * max(image size) / focal_length_px + baseline_m is {widest}"
-            )
+        reach = self.z_max_m * max(K.image_width, K.image_height) / K.focal_length_px
+        widest, divisor = 2 * reach + self.baseline_m, reach * reach * self.z_max_m
+        if not (math.isfinite(widest) and math.isfinite(divisor)):
+            raise ValueError(f"search volume overflows: its widest side is {widest} m and x^2 * z reaches {divisor}")
 
 
 def project_many(rig: StereoRig, points: np.ndarray):

@@ -13,8 +13,9 @@ Texture values stay within [16, 224] so tests can shift intensities by
 A view is painted in bands of BAND_ROWS rows, each with its own slice of
 the row slopes, its own depth buffer and its own temporaries. Every step is
 per pixel, so the bytes do not depend on the band height; the peak memory
-follows the band, not the image. A surface point whose texture cell index
-is not an int64 (a rig or scene far past any real one) raises ValueError.
+follows the band, not the image. A surface point in view, hidden or not,
+whose texture cell index is not an int64 (a rig or scene far past any real
+one, up to a ground whose depth overflows) raises ValueError.
 """
 
 from __future__ import annotations
@@ -95,15 +96,21 @@ def _block_noise(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
 
 def _paint(img, zbuf, depth, a, b, cell, seed, hit) -> None:
     """Texture the ``hit`` pixels nearest yet in ``zbuf`` by the cells of surface
-    coordinates (a, b); a cell index that is not an int64 raises ValueError."""
-    hit = hit & (depth < zbuf)
-    ia, ib = (np.broadcast_to(np.floor(v / cell), hit.shape)[hit] for v in (a, b))
+    coordinates (a, b). A hit pixel whose cell index is not an int64 raises
+    ValueError, whether or not a nearer surface hides it."""
+    hit = np.broadcast_to(hit, zbuf.shape)
+    ia, ib = (np.floor(np.broadcast_to(v, hit.shape)[hit] / cell) for v in (a, b))
     if not all(((-(2.0**63) <= i) & (i < 2.0**63)).all() for i in (ia, ib)):  # False for inf and nan too
         raise ValueError(f"surface coordinates beyond 2**63 texture cells of {cell} m: the rig or scene is too large")
-    img[hit] = _block_noise(ia, ib, seed)
-    np.copyto(zbuf, depth, where=hit)
+    shown = hit & (depth < zbuf)
+    ia, ib = ia[shown[hit]], ib[shown[hit]]  # the hidden pixels' indices are freed before the noise is drawn
+    img[shown] = _block_noise(ia, ib, seed)
+    np.copyto(zbuf, depth, where=shown)
 
 
+# a depth or coordinate past the float range is inf or nan: no rectangle
+# covers it, and _paint rejects it as a ground cell index
+@np.errstate(over="ignore", invalid="ignore")
 def _render_view(scene: Scene, rig: StereoRig, cam_x: float) -> np.ndarray:
     K = rig.intrinsics
     f = K.focal_length_px

@@ -2,10 +2,11 @@ import hypothesis
 import numpy as np
 import pytest
 
+from flyswarm.cli import main
 from flyswarm.evolution import EvolutionParams, Population, StereoFrame, evaluate_population
 from flyswarm.imaging import Image
 from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig
-from flyswarm.synth import preset_scene, render_stereo_pair
+from flyswarm.synth import PRESET_NAMES, preset_scene, render_stereo_pair
 
 hypothesis.settings.register_profile("default", max_examples=100, deadline=None)
 hypothesis.settings.load_profile("default")
@@ -67,6 +68,18 @@ def pedestrian_pair(pedestrian_scene, session_rig):
 @pytest.fixture(scope="session")
 def pedestrian_frame(pedestrian_pair):
     return StereoFrame(*pedestrian_pair)
+
+
+@pytest.fixture(scope="session")
+def preset_files(tmp_path_factory) -> dict[str, list[str]]:
+    """The ``--left``/``--right`` arguments of each preset's pair on the
+    default rig, written once by ``synth``."""
+    root = tmp_path_factory.mktemp("presets")
+    files = {}
+    for name in PRESET_NAMES:
+        assert main(["synth", "--preset", name, "--out", str(root / name)]) == 0
+        files[name] = ["--left", str(root / name / "left.pgm"), "--right", str(root / name / "right.pgm")]
+    return files
 
 
 @pytest.fixture

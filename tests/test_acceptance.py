@@ -46,7 +46,7 @@ def read_trace(path):
 
 
 @pytest.fixture(scope="session")
-def preset_steady_traces(tmp_path_factory):
+def preset_steady_traces(tmp_path_factory, preset_files):
     """Per-seed warning traces of cmd_detect on both presets."""
     root = tmp_path_factory.mktemp("steady")
     traces = {}
@@ -56,8 +56,7 @@ def preset_steady_traces(tmp_path_factory):
             code = main(
                 [
                     "detect",
-                    "--preset",
-                    preset,
+                    *preset_files[preset],
                     "--out",
                     str(out),
                     "--seed",
@@ -99,10 +98,12 @@ def sequence_frames_dir(tmp_path_factory, session_rig):
 
 
 def test_a1_convergence(tmp_path):
-    out = tmp_path / "a1"
+    out, pair = tmp_path / "a1", tmp_path / "pair"
+    # the gate covers rendering the pair and detecting on it
     t0 = time.perf_counter()
+    assert main(["synth", "--preset", "pedestrian-4m", "--out", str(pair)]) == 0
     code = main(
-        ["detect", "--preset", "pedestrian-4m", "--out", str(out), "--seed", "1", "--generations", "200"]
+        ["detect", "--left", str(pair / "left.pgm"), "--right", str(pair / "right.pgm"), "--out", str(out), "--seed", "1", "--generations", "200"]
     )
     elapsed = time.perf_counter() - t0
     assert code == 0
@@ -185,6 +186,7 @@ def test_a3_reaction_time(steady_means, sequence_frames_dir, tmp_path):
     assert within >= 4
 
 
+@pytest.mark.timing
 def test_a4_latency(session_rig, pedestrian_pair):
     swarm = Swarm(session_rig, EvolutionParams())
     swarm.feed(*pedestrian_pair)
@@ -313,15 +315,14 @@ def test_a6_operator_properties(session_rig, pedestrian_pair):
     assert not failures
 
 
-def test_a7_determinism(tmp_path):
+def test_a7_determinism(tmp_path, preset_files):
     outputs = []
     for run in ("first", "second"):
         out = tmp_path / run
         code = main(
             [
                 "detect",
-                "--preset",
-                "pedestrian-4m",
+                *preset_files["pedestrian-4m"],
                 "--out",
                 str(out),
                 "--seed",

@@ -172,9 +172,7 @@ EVOLVE_GROUPS = ("rig", "evolution", "warning")
 COMMAND_READS = {
     ("synth", "--preset", "empty-road"): ("rig",),
     ("synth",): ("rig", "scene"),
-    ("detect", "--preset", "empty-road"): EVOLVE_GROUPS,
     ("detect", "--left", "l.pgm", "--right", "r.pgm"): EVOLVE_GROUPS,
-    ("detect",): EVOLVE_GROUPS + ("scene",),
     ("sequence", "--left", "L_*.pgm", "--right", "R_*.pgm"): EVOLVE_GROUPS,
 }
 
@@ -305,13 +303,12 @@ class TestSynthCommand:
 
 
 @pytest.fixture(scope="module")
-def detect_run(tmp_path_factory):
+def detect_run(tmp_path_factory, preset_files):
     out = tmp_path_factory.mktemp("detect")
     code = main(
         [
             "detect",
-            "--preset",
-            "pedestrian-4m",
+            *preset_files["pedestrian-4m"],
             "--out",
             str(out),
             "--seed",
@@ -364,13 +361,12 @@ class TestDetectCommand:
         )
         assert red.any()
 
-    def test_overlay_marks_match_top_k_projections(self, tmp_path):
+    def test_overlay_marks_match_top_k_projections(self, tmp_path, preset_files):
         out = tmp_path / "ov"
         main(
             [
                 "detect",
-                "--preset",
-                "pedestrian-4m",
+                *preset_files["pedestrian-4m"],
                 "--out",
                 str(out),
                 "--seed",
@@ -412,10 +408,10 @@ class TestDetectCommand:
         assert red == {(0, 0), (1, 0), (0, 1), (4, 3), (3, 3), (4, 2), (4, 1)}
         assert not base.samples.any()
 
-    def test_exit_zero_and_final_line(self, tmp_path, capsys):
+    def test_exit_zero_and_final_line(self, tmp_path, capsys, preset_files):
         out = tmp_path / "final"
         code = main(
-            ["detect", "--preset", "empty-road", "--out", str(out), "--seed", "1", "--generations", "2", "--population", "200"]
+            ["detect", *preset_files["empty-road"], "--out", str(out), "--seed", "1", "--generations", "2", "--population", "200"]
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -448,8 +444,13 @@ class TestFailureContract:
     """Bad input ends in exit code 2 and a one-line message, never in a
     traceback or a silently applied default."""
 
+    @pytest.fixture(autouse=True)
+    def empty_road(self, preset_files):
+        """The pair ``run_detect`` reads."""
+        self.pair = preset_files["empty-road"]
+
     def run_detect(self, tmp_path, capsys, *extra, config=None):
-        argv = ["detect", "--preset", "empty-road", "--out", str(tmp_path / "out"), "--generations", "1"]
+        argv = ["detect", *self.pair, "--out", str(tmp_path / "out"), "--generations", "1"]
         if config is not None:
             conf = tmp_path / "run.conf"
             conf.write_text(config)
@@ -512,11 +513,7 @@ class TestFailureContract:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["synth", "detect", "sequence"])
     def test_overflowing_search_volume_exits_2_before_any_output(self, tmp_path, capsys, command):
-        source = ["--preset", "pedestrian-4m"]
-        if command == "sequence":
-            pair = tmp_path / "pair"
-            assert main(["synth", "--preset", "empty-road", "--out", str(pair)]) == 0
-            source = ["--left", str(pair / "left.pgm"), "--right", str(pair / "right.pgm")]
+        source = ["--preset", "pedestrian-4m"] if command == "synth" else self.pair
         conf = tmp_path / "run.conf"
         conf.write_text("focal_length_px = 1e-308\n")
         capsys.readouterr()
@@ -526,16 +523,17 @@ class TestFailureContract:
         assert captured.err.startswith("flyswarm: error: search volume overflows") and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    # warnings as errors: detect rendered its pair before building the
+    # warnings as errors: detect once rendered its pair before building the
     # search volume, so the render warned twice, and the bound then
-    # printed with 297 digits
+    # printed with 297 digits; it now reads its pair and builds the swarm
+    # before it writes anything
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("line", ["focal_length_px = 1e300", "baseline_m = 1e300"])
     def test_oversized_rig_exits_2_before_detect_renders(self, tmp_path, capsys, line):
         conf = tmp_path / "run.conf"
         conf.write_text(line + "\n")
         capsys.readouterr()
-        code = main(["detect", "--preset", "pedestrian-4m", "--config", str(conf), "--out", str(tmp_path / "out")])
+        code = main(["detect", *self.pair, "--config", str(conf), "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("flyswarm: error: fields of view do not intersect") and captured.err.count("\n") == 1
@@ -543,7 +541,8 @@ class TestFailureContract:
         assert not (tmp_path / "out").exists()
 
     # warnings as errors: the renderer cast texture cell indices beyond
-    # int64 with numpy's "invalid value" warning, then wrote its files
+    # int64 with numpy's "invalid value" warning, then wrote its files; at
+    # 1e308 the ground's depth overflowed, and it wrote an untextured road
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "command, line",
@@ -552,8 +551,7 @@ class TestFailureContract:
             ("synth", "baseline_m = 1e300"),
             ("synth", "camera_height_m = 1e300"),
             ("synth", "camera_height_m = 1e17"),
-            ("detect", "camera_height_m = 1e300"),
-            ("detect", "camera_height_m = 1e17"),
+            ("synth", "camera_height_m = 1e308"),
         ],
     )
     def test_scene_beyond_the_texture_cells_exits_2_before_any_output(self, tmp_path, capsys, command, line):
@@ -566,6 +564,28 @@ class TestFailureContract:
         assert captured.err.startswith("flyswarm: error: surface coordinates beyond 2**63 texture cells of 0.03 m")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()  # no left.pgm, no flies.csv
+
+    # warnings as errors: each overflowed in numpy during the run, and the
+    # run went on with inf or nan and exited 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("z_max_m = 1e300", "search volume overflows"),
+            ("mutation_sigma = 1e308, 1e308, 1e308", "mutation_sigma must be three values in [0, 2**1020)"),
+            ("sharing_exponent = 1e308", "population_size ** sharing_exponent overflows: 5000 ** 1e+308"),
+        ],
+    )
+    def test_value_past_its_model_bound_exits_2_before_any_output(self, tmp_path, capsys, line, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        capsys.readouterr()
+        argv = ["detect", *self.pair, "--config", str(conf), "--population", "200", "--generations", "3"]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"flyswarm: error: {message}") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_config_number_rejected(self):
         for value in ("nan", "inf", "-inf", "0.4, nan"):
@@ -599,13 +619,12 @@ class TestFailureContract:
         assert not (tmp_path / "out").exists()
 
     def test_preset_and_files_exit_2_before_the_run(self, tmp_path, capsys):
-        # the files used to be evolved on and the preset dropped without a word
-        pair = tmp_path / "pair"
-        assert main(["synth", "--preset", "empty-road", "--out", str(pair)]) == 0
-        code, out, err = self.run_detect(tmp_path, capsys, "--left", str(pair / "left.pgm"), "--right", str(pair / "right.pgm"))
+        # the files used to be evolved on and the preset dropped without a
+        # word; detect now reads files only, and --preset is not its flag
+        code, out, err = self.run_detect(tmp_path, capsys, "--preset", "empty-road")
         assert code == 2
         assert out == ""
-        assert err.startswith("flyswarm: error:") and err.count("\n") == 1 and "--preset" in err
+        assert err == "flyswarm: error: unrecognized arguments: --preset empty-road\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("exponent, expected", [("-3", 2), ("-0.5", 2), ("0", 0)])
@@ -626,10 +645,10 @@ class TestFailureContract:
         assert err.count("\n") == 1 and "mutation_sigma" in err
         assert not (tmp_path / "out").exists()
 
-    def test_closed_stdout_exits_1_without_a_message(self, tmp_path):
+    def test_closed_stdout_exits_1_without_a_message(self, tmp_path, preset_files):
         # more output than a pipe holds, so the writer is still writing
         # when the reader closes its end
-        argv = ["detect", "--preset", "pedestrian-4m", "--population", "8", "--generations", "20000"]
+        argv = ["detect", *preset_files["pedestrian-4m"], "--population", "8", "--generations", "20000"]
         src = os.path.dirname(os.path.dirname(flyswarm.__file__))
         proc = subprocess.Popen(
             [sys.executable, "-m", "flyswarm", *argv, "--out", str(tmp_path / "out")],
@@ -672,7 +691,6 @@ class TestKeysPerCommand:
         [
             (["synth", "--preset", "empty-road"], "population_size = 7"),
             (["synth", "--preset", "empty-road"], OBSTACLE),
-            (["detect", "--preset", "pedestrian-4m", "--generations", "1"], OBSTACLE),
             (["detect", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm", "--generations", "1"], OBSTACLE),
             (["sequence", "--left", "PAIR/left.pgm", "--right", "PAIR/right.pgm"], OBSTACLE),
             # --generations is the one way to set the count
@@ -681,7 +699,6 @@ class TestKeysPerCommand:
         ids=[
             "synth-evolution-key",
             "synth-preset-scene-key",
-            "detect-preset-scene-key",
             "detect-files-scene-key",
             "sequence-scene-key",
             "sequence-generations-key",
@@ -694,19 +711,6 @@ class TestKeysPerCommand:
         assert out == ""
         assert err == f"flyswarm: error: unknown key {line.split()[0]!r}\n"
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "argv, line, lines_out",
-        [
-            # without --preset or files, detect renders the scene the config describes
-            (["detect", "--generations", "1"], OBSTACLE, 2),
-        ],
-        ids=["detect-scene-key"],
-    )
-    def test_key_the_command_reads_is_accepted(self, tmp_path, capsys, argv, line, lines_out):
-        code, out, err = self.run(tmp_path, capsys, argv, line)
-        assert (code, err) == (0, "")
-        assert len(out.splitlines()) == lines_out
 
     def test_synth_takes_no_seed(self, tmp_path, capsys):
         # synth draws no random numbers, so its --seed changed no byte
@@ -884,7 +888,7 @@ def test_bench_is_an_unknown_command(capsys):
     "argv",
     [
         ["synth", "--preset", "empty-road", "--seed", "5"],
-        ["detect", "--preset", "empty-road", "--generations", "abc"],
+        ["detect", "--left", "l.pgm", "--right", "r.pgm", "--generations", "abc"],
         ["sequence", "--left", "L_*.pgm", "--right", "R_*.pgm", "--population", "1.5"],
         [],
     ],
@@ -897,6 +901,24 @@ def test_usage_error_is_one_line(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("flyswarm: error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["detect", "--preset", "pedestrian-4m"], "--left, --right"),
+        (["detect", "--left", "l.pgm"], "--right"),
+        (["sequence", "--right", "R_*.pgm"], "--left"),
+    ],
+    ids=["detect-preset", "detect-no-right", "sequence-no-left"],
+)
+def test_detect_and_sequence_need_both_files(tmp_path, capsys, argv, missing):
+    # detect once rendered --preset, or the config's scene, when given no files
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"flyswarm: error: the following arguments are required: {missing}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -937,10 +959,9 @@ def test_main_fuzz_exits_0_or_2(tmp_path_factory, lines, side, population, comma
     conf = work / "run.conf"
     conf.write_text(rig)
     argv = [command, "--preset", "pedestrian-4m"]
-    if command == "sequence":
+    if command != "synth":
         assert main(["synth", *argv[1:], "--config", str(conf), "--out", str(work / "pair")]) == 0
         argv = [command, "--left", str(work / "pair" / "left.pgm"), "--right", str(work / "pair" / "right.pgm")]
-    if command != "synth":
         argv += ["--population", str(population), "--generations", "1"]
     conf.write_text("\n".join([rig, *lines]))
     code = main(argv + ["--config", str(conf), "--out", str(work / "out")])

@@ -747,6 +747,7 @@ def interleaved_generation_ms(rig, pair, populations, generations: int) -> list[
     return [float(np.median(times[2:])) * 1e3 for times in durations]
 
 
+@pytest.mark.timing
 class TestGenerationTiming:
     def test_population_scaling(self, session_rig, pedestrian_pair):
         small, big = interleaved_generation_ms(session_rig, pedestrian_pair, (5000, 10000), 40)
@@ -810,6 +811,26 @@ def test_params_at_their_bounds_accepted():
     params = EvolutionParams(population_size=2, neighborhood_radius=0, sharing_cell_px=1, sharing_exponent=0.0)
     assert (params.population_size, params.neighborhood_radius, params.sharing_cell_px) == (2, 0, 1)
     EvolutionParams(crossover_fraction=1.0, mutation_fraction=0.0)
+
+
+# warnings as errors: past these bounds mutate and apply_sharing overflowed in numpy
+@pytest.mark.filterwarnings("error")
+def test_params_at_their_overflow_bounds(default_rig):
+    # a normal draw stays below 13.8, so a sigma just below 2**1020 keeps every step finite
+    largest = float(np.nextafter(2.0**1020, 0))
+    parents = sample_points(default_rig, np.random.default_rng(0), 500, margin=2)
+    out = mutate(parents, default_rig, EvolutionParams(mutation_sigma=(largest,) * 3), np.random.default_rng(1))
+    assert np.isfinite(out).all()
+    with pytest.raises(ValueError, match=r"mutation_sigma must be three values in \[0, 2\*\*1020\)"):
+        EvolutionParams(mutation_sigma=(0.0, 2.0**1020, 0.0))
+    # 64 flies in one cell divide by 64 ** e, which N ** e bounds for N = 64
+    exponent = 1023.99 / 6
+    pop = Population(np.tile([0.0, 0.0, 5.0], (64, 1)))
+    pop.raw_fitness[:] = 1.0
+    apply_sharing(pop, default_rig, EvolutionParams(population_size=64, sharing_exponent=exponent))
+    assert np.all(pop.shared_fitness == 1.0 / 64.0**exponent)
+    with pytest.raises(ValueError, match=r"population_size \*\* sharing_exponent overflows: 64 \*\* 170.668"):
+        EvolutionParams(population_size=64, sharing_exponent=1024.01 / 6)
 
 
 def test_zero_selection_ratio_rejected():

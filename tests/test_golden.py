@@ -49,9 +49,9 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_detect_a7_run(tmp_path):
+def test_detect_a7_run(tmp_path, preset_files):
     out = tmp_path / "a7"
-    argv = ["detect", "--preset", "pedestrian-4m", "--seed", "11", "--population", "1500", "--generations", "25"]
+    argv = ["detect", *preset_files["pedestrian-4m"], "--seed", "11", "--population", "1500", "--generations", "25"]
     assert main(argv + ["--out", str(out)]) == 0
     assert sha256(out / "flies.csv") == A7_FLIES
     assert sha256(out / "warning_trace.csv") == A7_TRACE
@@ -62,10 +62,10 @@ def _no_c_library(name):
 
 
 @pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()], ids=["no-library", "no-mallopt"])
-def test_detect_a7_run_without_mallopt(tmp_path, monkeypatch, cdll):
+def test_detect_a7_run_without_mallopt(tmp_path, preset_files, monkeypatch, cdll):
     # the allocator tuning is glibc only; anywhere else it does nothing
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    test_detect_a7_run(tmp_path)
+    test_detect_a7_run(tmp_path, preset_files)
 
 
 def test_detect_colour_wide_mutation(tmp_path):

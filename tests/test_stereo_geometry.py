@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig, project_many, sample_points, search_volume, visible_many
+from flyswarm.warning import WarningParams, warning_values
 from reference import project, volume_m3
 
 # ``project`` is the scalar reference the search volume and the overlays
@@ -93,6 +94,19 @@ def test_rig_validation():
     for f, baseline in ((np.nan, 0.4), (500.0, np.nan)):
         with pytest.raises(ValueError, match="overflows: .* is nan"):
             StereoRig(CameraIntrinsics(f, (320.0, 240.0), 640, 480), baseline_m=baseline)
+
+
+# warnings as errors: x^2 * z, the warning's divisor, overflowed in numpy
+@pytest.mark.filterwarnings("error")
+def test_rig_bounds_the_warning_divisor():
+    K = CameraIntrinsics(500.0, (320.0, 240.0), 640, 480)
+    rig = StereoRig(K, z_max_m=1e102)  # reach 1.28e102, reach^2 * z_max 1.6e306
+    points = sample_points(rig, np.random.default_rng(0), 1000, margin=2)
+    points[:3] = search_volume(rig, 2).bounding_box()[0]  # a corner of the box, and so of the volume
+    values = warning_values(points, np.ones(1000), np.zeros(1000, dtype=bool), WarningParams())
+    assert np.all(values > 0)
+    with pytest.raises(ValueError, match=r"search volume overflows: .* x\^2 \* z reaches inf"):
+        StereoRig(K, z_max_m=1e103)
 
 
 def slice_bounds(rig, z, margin=2):
