@@ -32,7 +32,7 @@ import itertools
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +73,10 @@ class RunConfig:
 def _run_config(args, cfg: KeyLog) -> RunConfig:
     """The rig, evolution and warning keys, with the flags over them; any
     other key is an error."""
-    rig, evo, warn = rig_from_config(cfg), evolution_params_from_config(cfg), warning_params_from_config(cfg)
+    rig = rig_from_config(cfg)
+    evo = evolution_params_from_config(cfg, population_size=args.population, rng_seed=args.seed)
+    warn = warning_params_from_config(cfg)
     cfg.reject_unread()
-    flags = {"population_size": args.population, "rng_seed": args.seed}
-    evo = replace(evo, **{key: value for key, value in flags.items() if value is not None})
     return RunConfig(rig, evo, warn, args.generations, Path(args.out))
 
 

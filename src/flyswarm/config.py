@@ -149,8 +149,11 @@ def rig_from_config(cfg: dict) -> StereoRig:
     return _from_fields(StereoRig, cfg, intrinsics=intrinsics)
 
 
-def evolution_params_from_config(cfg: dict) -> EvolutionParams:
-    return _from_fields(EvolutionParams, cfg)
+def evolution_params_from_config(cfg: dict, **flags) -> EvolutionParams:
+    """The evolution keys, each flag not None over the key of its name, which is still read and parsed."""
+    given = {f.name: _read(cfg, f.name, f.type, f.default) for f in fields(EvolutionParams)}
+    given.update((name, value) for name, value in flags.items() if value is not None)
+    return _from_fields(EvolutionParams, cfg, **given)
 
 
 def warning_params_from_config(cfg: dict) -> WarningParams:

@@ -92,6 +92,8 @@ class EvolutionParams:
     def __post_init__(self):
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not (0.0 < self.selection_ratio <= 1.0):
             raise ValueError(f"selection_ratio must be in (0, 1], got {self.selection_ratio}")
         for name in ("mutation_fraction", "crossover_fraction"):
@@ -398,6 +400,12 @@ class Swarm:
     """
 
     def __init__(self, rig: StereoRig, params: EvolutionParams, warning_params: WarningParams = WarningParams()):
+        # every fly lies in the search volume, so its warning divisor x^2 * z, each clamped below, is at most this
+        lo, hi = search_volume(rig, params.neighborhood_radius).bounding_box()
+        xc, zc = warning_params.x_clamp_m, warning_params.z_clamp_m
+        x, z = float(max(-lo[0], hi[0], xc)), float(max(hi[2], zc))
+        if not math.isfinite(x * x * z):
+            raise ValueError(f"warning divisor x^2 * z overflows: x_clamp_m = {xc}, z_clamp_m = {zc}")
         self.rig, self.params, self.warning_params = rig, params, warning_params
         self.rng = np.random.default_rng(params.rng_seed)
         self.population = Population.initialize(rig, params, self.rng)

@@ -13,11 +13,14 @@ the same image row in both views and its column disparity is
 Pixel coordinates are (column, row) with the origin at the top-left
 pixel; y up in the world means row decreasing in the image.
 
-A point is "visible" when its projection, padded by a margin of
-``margin`` pixels (the fitness neighborhood radius), lies inside both
-images. The admissible fly volume is the depth-bounded set of visible
-points; at a fixed depth z it is an axis-aligned rectangle whose bounds
-are linear in z, which makes the volume convex.
+A point is "visible" when it lies in front of the cameras (z > 0) and
+its projection, padded by ``margin`` pixels (the fitness neighborhood
+radius), lies inside both images. The admissible fly volume is the
+depth-bounded set of visible points; at a fixed depth z it is an
+axis-aligned rectangle whose bounds are linear in z: a convex volume.
+
+No length has a fixed unit: each is a rig field, and the rig with every
+``_m`` field times s maps each point times s onto the same pixels.
 """
 
 from __future__ import annotations
@@ -27,10 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Depth floor for projection math; avoids division blow-up for degenerate
-# inputs. Points closer than this are never visible.
-Z_FLOOR_M = 0.01
 
 
 @dataclass(frozen=True)
@@ -87,17 +86,14 @@ def project_many(rig: StereoRig, points: np.ndarray):
     """Vectorized projection. Returns (u_left, u_right, v) float arrays.
 
     Rows are shared between the two views on a rectified rig, so a single
-    v array is returned. Depths below the floor are clamped; pair with
-    :func:`visible_many` to reject such points.
+    v array is returned. Each point is divided by its own depth, so a point
+    at z <= 0 projects to inf or nan; :func:`visible_many` rejects it.
     """
-    pts = np.asarray(points, dtype=np.float64)
     K = rig.intrinsics
     f = K.focal_length_px
     u0, v0 = K.principal_point
     half_b = 0.5 * rig.baseline_m
-    x = pts[:, 0]
-    y = pts[:, 1]
-    z = np.maximum(pts[:, 2], Z_FLOOR_M)
+    x, y, z = np.asarray(points, dtype=np.float64).T
     u_left = u0 + f * (x + half_b) / z
     u_right = u0 + f * (x - half_b) / z
     v = v0 - f * y / z
@@ -105,14 +101,13 @@ def project_many(rig: StereoRig, points: np.ndarray):
 
 
 def visible_many(rig: StereoRig, u_left, u_right, v, z, margin: int):
-    """True where a point is in front of the cameras (z at or above the
-    depth floor) and its projection, padded by ``margin`` pixels, lies
-    inside both images."""
+    """True where a point is in front of the cameras (z > 0) and its
+    projection, padded by ``margin`` pixels, lies inside both images."""
     K = rig.intrinsics
     u_hi = K.image_width - 1 - margin
     v_hi = K.image_height - 1 - margin
     return (
-        (np.asarray(z) >= Z_FLOOR_M)
+        (np.asarray(z) > 0)
         & (u_left >= margin) & (u_left <= u_hi)
         & (u_right >= margin) & (u_right <= u_hi)
         & (v >= margin) & (v <= v_hi)

@@ -22,10 +22,6 @@ from flyswarm.stereo_geometry import StereoRig
 # Rec. 601 luma weights, the luminance the fitness gradients are taken of
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
-# points closer than this are never visible, and projections divide by
-# at least this depth
-Z_FLOOR_M = 0.01
-
 
 @dataclass(frozen=True)
 class Projection:
@@ -39,25 +35,25 @@ class Projection:
 def project(rig: StereoRig, point, margin: int = 2) -> Projection:
     """Project a world point into both images.
 
-    ``visible`` is true iff the point is in front of the cameras and its
-    projection, padded by ``margin`` pixels, lies inside both images.
+    ``visible`` is true iff the point is in front of the cameras (z > 0)
+    and its projection, padded by ``margin`` pixels, lies inside both images.
     Raises ValueError for non-finite coordinates.
     """
     p = np.asarray(point, dtype=np.float64)
     if p.shape != (3,) or not np.all(np.isfinite(p)):
         raise ValueError(f"point must be 3 finite coordinates, got {point!r}")
     x, y, z = float(p[0]), float(p[1]), float(p[2])
+    if z <= 0:  # on or behind the camera plane: no projection, never visible
+        return Projection((np.nan, np.nan), (np.nan, np.nan), False)
     K = rig.intrinsics
     f = K.focal_length_px
     u0, v0 = K.principal_point
-    zc = max(z, Z_FLOOR_M)
     half_b = 0.5 * rig.baseline_m
-    u_left = u0 + f * (x + half_b) / zc
-    u_right = u0 + f * (x - half_b) / zc
-    v = v0 - f * y / zc
+    u_left = u0 + f * (x + half_b) / z
+    u_right = u0 + f * (x - half_b) / z
+    v = v0 - f * y / z
     visible = (
-        z >= Z_FLOOR_M
-        and margin <= u_left <= K.image_width - 1 - margin
+        margin <= u_left <= K.image_width - 1 - margin
         and margin <= u_right <= K.image_width - 1 - margin
         and margin <= v <= K.image_height - 1 - margin
     )
@@ -127,7 +123,7 @@ def naive_fitness(
     u0, v0 = rig.intrinsics.principal_point
     b = rig.baseline_m
     x, y, z = position
-    if z < Z_FLOOR_M:
+    if z <= 0:
         return 0.0
     xl = u0 + f * (x + b / 2) / z
     xr = u0 + f * (x - b / 2) / z

@@ -76,6 +76,15 @@ class TestConfig:
         assert params.rng_seed == 9
         assert params.mutation_sigma == (0.1, 0.1, 0.2)
 
+    def test_flags_over_their_keys(self):
+        # a flag that is None leaves its key in force; one that is given
+        # sets the field, and its key is still read (and parsed: see
+        # TestFailureContract.test_malformed_key_under_a_flag_exits_2)
+        cfg = KeyLog(parse_config_text("population_size = 1\nrng_seed = 9\n"))
+        params = evolution_params_from_config(cfg, population_size=100, rng_seed=None)
+        assert (params.population_size, params.rng_seed) == (100, 9)
+        assert {"population_size", "rng_seed"} <= cfg.read
+
     def test_malformed_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("just words\n")
@@ -573,7 +582,12 @@ class TestFailureContract:
         [
             ("z_max_m = 1e300", "search volume overflows"),
             ("mutation_sigma = 1e308, 1e308, 1e308", "mutation_sigma must be three values in [0, 2**1020)"),
-            ("sharing_exponent = 1e308", "population_size ** sharing_exponent overflows: 5000 ** 1e+308"),
+            # the model checks the run's population, --population's 200, not the config's 5000
+            ("sharing_exponent = 1e308", "population_size ** sharing_exponent overflows: 200 ** 1e+308"),
+            ("x_clamp_m = 1e200", "warning divisor x^2 * z overflows: x_clamp_m = 1e+200, z_clamp_m = 1.0"),
+            ("z_clamp_m = 1e307\nmax_range_m = 1e308", "warning divisor x^2 * z overflows: x_clamp_m = 0.5, z_clamp_m = 1e+307"),
+            # numpy's seeding rejected it in words that named no key
+            ("rng_seed = -1", "rng_seed must be >= 0, got -1"),
         ],
     )
     def test_value_past_its_model_bound_exits_2_before_any_output(self, tmp_path, capsys, line, message):
@@ -585,6 +599,30 @@ class TestFailureContract:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"flyswarm: error: {message}") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    # warnings as errors: numpy's seeding rejected --seed -1 in words that
+    # named no key; the model now checks the flag's value as the run's own
+    @pytest.mark.filterwarnings("error")
+    def test_negative_seed_flag_exits_2_naming_the_key(self, tmp_path, capsys):
+        code, out, err = self.run_detect(tmp_path, capsys, "--seed", "-1", "--population", "200")
+        assert code == 2 and out == ""
+        assert err == "flyswarm: error: rng_seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    # the model checks the run's own values: these exited 2 when the config's
+    # population (5000, then 1) was checked before --population replaced it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("line", ["sharing_exponent = 100", "population_size = 1"])
+    def test_flag_value_is_the_one_checked(self, tmp_path, capsys, line):
+        code, out, err = self.run_detect(tmp_path, capsys, "--population", "100", config=line + "\n")
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 2
+
+    def test_malformed_key_under_a_flag_exits_2(self, tmp_path, capsys):
+        code, out, err = self.run_detect(tmp_path, capsys, "--population", "200", config="population_size = abc\n")
+        assert code == 2 and out == ""
+        assert err == "flyswarm: error: expected numbers, got 'abc'\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_config_number_rejected(self):

@@ -103,16 +103,17 @@ class TestFitness:
 
     def test_fly_near_the_depth_floor_is_scored(self, default_params):
         # a 5 mm baseline puts the fields of view together from 3.9 mm, so
-        # the volume admits a fly at 15 mm, just above the 10 mm floor
+        # the volume admits flies at 15 mm and at 8 mm; the rig's z_min_m is
+        # the only depth floor, and a fixed 10 mm one once scored the second 0
         rig = StereoRig(baseline_m=0.005, z_min_m=0.005)
-        position = [0.0, 0.0, 0.015]
-        assert search_volume(rig, margin=2).contains(position).all()
+        positions = [[0.0, 0.0, 0.015], [0.0, 0.0, 0.008]]
+        assert search_volume(rig, margin=2).contains(positions).all()
         rng = np.random.default_rng(6)
         left, right = (Image(rng.integers(0, 256, (480, 640), dtype=np.uint8)) for _ in range(2))
-        [got] = fitness_of(position, StereoFrame(left, right), rig, default_params)
+        got = fitness_of(positions, StereoFrame(left, right), rig, default_params)
         grads = sobel_norm_map(left), sobel_norm_map(right)
-        assert got == naive_fitness(position, left, right, *grads, rig, default_params)
-        assert got > 0
+        assert got.tolist() == [naive_fitness(p, left, right, *grads, rig, default_params) for p in positions]
+        assert (got > 0).all()
 
     def test_intensity_shift_leaves_fitness(self, session_rig, default_params, pedestrian_pair):
         left, right = pedestrian_pair
@@ -805,6 +806,9 @@ def test_params_validation():
     for bad in (dict(neighborhood_radius=-1), dict(sharing_cell_px=0)):
         with pytest.raises(ValueError, match="neighborhood_radius must be >= 0 and sharing_cell_px >= 1"):
             EvolutionParams(**bad)
+    # numpy's seeding rejected it later, in words that named no key
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+        EvolutionParams(rng_seed=-1)
 
 
 def test_params_at_their_bounds_accepted():
@@ -831,6 +835,26 @@ def test_params_at_their_overflow_bounds(default_rig):
     assert np.all(pop.shared_fitness == 1.0 / 64.0**exponent)
     with pytest.raises(ValueError, match=r"population_size \*\* sharing_exponent overflows: 64 \*\* 170.668"):
         EvolutionParams(population_size=64, sharing_exponent=1024.01 / 6)
+
+
+# warnings as errors: past these bounds warning_values overflowed in numpy, and the run went on
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "clamp, largest, smallest_rejected",
+    # bisected on the default rig, whose flies reach |x| = 12.52 m (at x < 0) and z = 20 m
+    [("x_clamp_m", 2.9980769960612384e153, 2.9980769960612388e153), ("z_clamp_m", 1.1468507479804296e306, 1.1468507479804297e306)],
+)
+@pytest.mark.parametrize("u0", [320.0, 319.0], ids=["default", "mirrored"])  # 319 = (w - 1) - 320 reaches 12.52 m at x > 0
+def test_warning_clamps_at_their_overflow_bounds(clamp, largest, smallest_rejected, u0):
+    rig = StereoRig(CameraIntrinsics(500.0, (u0, 240.0), 640, 480))
+    params = EvolutionParams(population_size=200, rng_seed=3)
+    frame = [Image(np.random.default_rng(4).integers(0, 256, (480, 640), dtype=np.uint8))] * 2
+    swarm = Swarm(rig, params, WarningParams(**{clamp: largest, "max_range_m": 2e306}))
+    swarm.feed(*frame)
+    assert np.isfinite(swarm.step().per_fly).all()
+    with pytest.raises(ValueError, match=r"^warning divisor x\^2 \* z overflows: ") as caught:
+        Swarm(rig, params, WarningParams(**{clamp: smallest_rejected, "max_range_m": 2e306}))
+    assert f"{clamp} = {smallest_rejected!r}" in str(caught.value)
 
 
 def test_zero_selection_ratio_rejected():

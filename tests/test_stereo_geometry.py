@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +54,27 @@ def test_behind_camera_not_visible(default_rig):
     assert not project(default_rig, (0.0, 0.0, 0.0)).visible
 
 
+def test_point_behind_the_cameras_is_rejected_by_its_depth(default_rig):
+    # through the pinhole, (0, 0, -0.5) lands inside both images, 200 px
+    # either side of the centre; only its depth tells that it is behind the cameras
+    u_left, u_right, v = project_many(default_rig, [[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]])
+    assert (u_left.tolist(), u_right.tolist(), v.tolist()) == ([120.0, 520.0], [520.0, 120.0], [240.0, 240.0])
+    assert visible_many(default_rig, u_left, u_right, v, [-0.5, 0.5], margin=2).tolist() == [False, True]
+
+
+def test_visibility_bounds_are_inclusive(default_rig):
+    # a 2 px margin on 640x480 admits columns 2..637 and rows 2..477 in both
+    # views: each coordinate on its bound is visible, one ulp past it is not
+    inside = np.array([320.0, 300.0, 240.0])  # u_left, u_right, v
+    for axis, (lo, hi) in enumerate([(2.0, 637.0), (2.0, 637.0), (2.0, 477.0)]):
+        for bound, beyond in ((lo, -np.inf), (hi, np.inf)):
+            coords = np.tile(inside, (2, 1))
+            coords[:, axis] = bound, np.nextafter(bound, beyond)
+            assert visible_many(default_rig, *coords.T, [5.0, 5.0], margin=2).tolist() == [True, False]
+    # and in front of the cameras means a depth above 0, however small
+    assert visible_many(default_rig, *np.tile(inside, (2, 1)).T, [0.0, 5e-324], margin=2).tolist() == [False, True]
+
+
 _RIG = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), 640, 480), baseline_m=0.4)
 
 
@@ -82,12 +105,25 @@ def test_rig_validation():
     K = CameraIntrinsics(500.0, (320.0, 240.0), 640, 480)
     with pytest.raises(ValueError):
         StereoRig(K, baseline_m=-0.1)
-    with pytest.raises(ValueError):
-        StereoRig(K, baseline_m=0.4, z_min_m=5.0, z_max_m=2.0)
+    for z_min, z_max in ((5.0, 2.0), (5.0, 5.0), (0.0, 20.0), (-0.5, 20.0)):
+        with pytest.raises(ValueError, match=re.escape(f"need 0 < z_min_m < z_max_m, got {z_min}, {z_max}")):
+            StereoRig(K, baseline_m=0.4, z_min_m=z_min, z_max_m=z_max)
+    with pytest.raises(ValueError, match="camera_height_m must be >= 0, got -0.1"):
+        StereoRig(K, camera_height_m=-0.1)
+    assert StereoRig(K, camera_height_m=0.0).camera_height_m == 0.0  # a camera on the ground
     with pytest.raises(ValueError):
         CameraIntrinsics(-1.0, (320.0, 240.0), 640, 480)
     with pytest.raises(ValueError):
         CameraIntrinsics(500.0, (700.0, 240.0), 640, 480)
+    # an empty side leaves no principal point either, but the message names the side
+    for w, h in ((0, 480), (640, 0)):
+        with pytest.raises(ValueError, match="image dimensions must be positive"):
+            CameraIntrinsics(500.0, (0.0, 0.0), w, h)
+    for u0, v0 in ((640.0, 240.0), (-0.5, 240.0), (320.0, 480.0), (320.0, -0.5)):
+        side = f"u0={u0} outside [0, 640)" if v0 == 240.0 else f"v0={v0} outside [0, 480)"
+        with pytest.raises(ValueError, match=re.escape(f"principal point {side}")):
+            CameraIntrinsics(500.0, (u0, v0), 640, 480)
+    assert CameraIntrinsics(500.0, (0.0, 0.0), 1, 1).principal_point == (0.0, 0.0)
     # a volume past the float range, or NaN, would have sample_points draw forever
     with pytest.raises(ValueError, match="overflows: .* is inf"):
         StereoRig(CameraIntrinsics(1e-308, (320.0, 240.0), 640, 480), baseline_m=0.4)
@@ -107,6 +143,9 @@ def test_rig_bounds_the_warning_divisor():
     assert np.all(values > 0)
     with pytest.raises(ValueError, match=r"search volume overflows: .* x\^2 \* z reaches inf"):
         StereoRig(K, z_max_m=1e103)
+    # a tall image reaches as far in y as a wide one does in x; its 16 px width alone would not overflow
+    with pytest.raises(ValueError, match=r"search volume overflows: .* x\^2 \* z reaches inf"):
+        StereoRig(CameraIntrinsics(500.0, (8.0, 320.0), 16, 640), z_max_m=1e103)
 
 
 def slice_bounds(rig, z, margin=2):
