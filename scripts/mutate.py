@@ -40,7 +40,8 @@ ARITH = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
          ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult, ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
          ast.And: ast.Or, ast.Or: ast.And}
 DROPPED = {"round", "ceil", "floor", "min", "max", "rint", "abs"}
-DTYPES = {"int64": "int32", "int32": "int64", "int16": "int32", "float64": "float32", "uint8": "int8"}
+DTYPES = {"int64": "int32", "int32": "int64", "int16": "int32", "float64": "float32", "uint8": "int8", "uint64": "int64",
+          "complex128": "complex64"}
 
 
 def _functions(body: list, prefix: str = ""):

@@ -8,7 +8,8 @@ in order:
 
 1. evaluate the raw fitness of every fly against the current frame
    (survivors of the last selection keep theirs while the frame, rig
-   and params are unchanged, so only the new flies are scored),
+   and params are unchanged, and a per-frame memo serves new flies on
+   pixel triples scored before, so only the rest are scored),
 2. flag useless flies and apply fitness sharing,
 3. compute the global warning of the evaluated population,
 4. keep the best ``selection_ratio`` of the population (elitist,
@@ -64,6 +65,8 @@ MUTATION_RESAMPLE_LIMIT = 8
 # defaults measurably slow the reaction to scene changes.
 DEFAULT_SIGMA_FRACTION = 0.001
 
+MEMO_BITS = 15  # the memo's 2**15 slots of 16 bytes (512 KiB); a key's slot is the top bits of its Fibonacci hash
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, odd
 _LUMA = np.asarray(LUMA_WEIGHTS)
 
 
@@ -103,8 +106,9 @@ class EvolutionParams:
         total = self.mutation_fraction + self.crossover_fraction
         if total > 1.0 + 1e-9:
             raise ValueError(f"mutation and crossover fractions must sum to at most 1, got {total}")
-        if self.fitness_epsilon <= 0:
-            raise ValueError(f"fitness_epsilon must be > 0, got {self.fitness_epsilon}")
+        # a gradient product is at most (4 * 255 * 2**0.5)**2 = 2.08e6, a colour one a float's hair more
+        if not (self.fitness_epsilon > 0 and math.isfinite(2.1e6 / self.fitness_epsilon)):
+            raise ValueError(f"fitness_epsilon must be > 0 and 2.1e6 / it finite, got {self.fitness_epsilon}")
         if self.neighborhood_radius < 0 or self.sharing_cell_px < 1:
             raise ValueError("neighborhood_radius must be >= 0 and sharing_cell_px >= 1")
         # a negative exponent would turn the crowding penalty into a reward
@@ -135,6 +139,12 @@ class Population:
     that keeps the cache valid; a caller that edits positions itself
     builds a new ``Population``. It leaves ``shared_fitness`` and
     ``penalized`` to the next evaluation, which rewrites every row.
+
+    Its second level, ``memo``, maps rounded (row, left column, right
+    column) triples to their fitness: under one key a scored fly's fitness
+    is a function of its triple, and a converged swarm probes the same
+    triples again. That pays only over several generations on one frame:
+    the first evaluation under a key drops it, the second allocates it.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -148,6 +158,7 @@ class Population:
         self.penalized = np.zeros(n, dtype=bool)
         self.score_key = None
         self.scored_rows = 0
+        self.memo = None
 
     @classmethod
     def initialize(cls, rig: StereoRig, params: EvolutionParams, rng: np.random.Generator) -> "Population":
@@ -190,57 +201,68 @@ def evaluate_population(population: Population, frame: StereoFrame, rig: StereoR
 
     Every step of the score is per fly, so rows already scored on this
     frame, rig and params (the survivors of ``select_and_refill``) keep
-    their bits and only the rows after them are scored. A frame of another
-    size than the rig's (its two views share one) is a ValueError.
+    their bits and only the rows after them, less those the memo serves,
+    are scored. A frame of another size than the rig's is a ValueError.
     """
     check_rig_match(frame.left, rig, "left")
     key = (frame, rig, params)
-    start = population.scored_rows if population.score_key == key else 0
-    population.raw_fitness[start:] = _raw_fitness(population.positions[start:], frame, rig, params)
+    fresh = population.score_key != key
+    if fresh or population.memo is None:  # a key of -1 names no triple, so the memo starts empty
+        population.memo = None if fresh else np.full(2 << MEMO_BITS, -1, np.int64).view(np.complex128)
+    start, memo = (0, None) if fresh else (population.scored_rows, population.memo)
+    population.raw_fitness[start:] = _raw_fitness(population.positions[start:], frame, rig, params, memo)
     population.score_key, population.scored_rows = key, len(population)
 
 
-def _raw_fitness(positions: np.ndarray, frame: StereoFrame, rig: StereoRig, params: EvolutionParams) -> np.ndarray:
+def _raw_fitness(positions, frame: StereoFrame, rig: StereoRig, params: EvolutionParams, memo) -> np.ndarray:
     n = params.neighborhood_radius
     m = max(n, 1)  # the window must hold the 3x3 Sobel stencil
     w, h, c = frame.left.width, frame.left.height, frame.left.channels
+    fitness = np.zeros(len(positions))
     if w < 2 * n + 1 or h < 2 * n + 1:
-        return np.zeros(len(positions))
+        return fitness
     u_left, u_right, v = project_many(rig, positions)
-    scored = visible_many(rig, u_left, u_right, v, positions[:, 2], margin=n)
-
-    # clip before the int cast: invisible flies can project arbitrarily
-    # far outside the raster and their indices are replaced anyway
-    iu_l = np.rint(np.clip(u_left, 0, w - 1)).astype(np.int64)
-    iu_r = np.rint(np.clip(u_right, 0, w - 1)).astype(np.int64)
-    iv = np.rint(np.clip(v, 0, h - 1)).astype(np.int64)
+    rows = np.flatnonzero(visible_many(rig, u_left, u_right, v, positions[:, 2], margin=n))
+    # a visible projection lies inside the raster, so its rounding does too
+    iu_l, iu_r, iv = (np.rint(a[rows]).astype(np.int64) for a in (u_left, u_right, v))
     if n == 0:
         # a visible centre may lie on the 1 px border, where the reference
         # Sobel norm is 0; such a fly scores 0 and its window is never read
-        scored &= (np.minimum(iu_l, iu_r) >= 1) & (np.maximum(iu_l, iu_r) <= w - 2) & (iv >= 1) & (iv <= h - 2)
+        inner = (np.minimum(iu_l, iu_r) >= 1) & (np.maximum(iu_l, iu_r) <= w - 2) & (iv >= 1) & (iv <= h - 2)
+        rows, iu_l, iu_r, iv = rows[inner], iu_l[inner], iu_r[inner], iv[inner]
+    if memo is not None:  # an item is a key and a fitness, as int64 and float64 bits
+        keys = (iv * w + iu_l) * w + iu_r  # exact: the rig keeps w * w * h below 2**63
+        slots = (keys.view(np.uint64) * _FIBONACCI) >> np.uint64(64 - MEMO_BITS)
+        held = memo[slots].view(np.int64)
+        fitness[rows] = held[1::2].view(np.float64)  # the misses are scored below
+        miss = np.flatnonzero(held[::2] != keys)
+        rows, iu_l, iu_r, iv, keys, slots = (a[miss] for a in (rows, iu_l, iu_r, iv, keys, slots))
     # one (2m+1)^2 uint8 window per fly and view, pixel-major, channels
     # last, read as its 2m+1 rows: each view's flat samples seen as one
     # void item of 2m+1 pixels per starting sample. The window around
-    # (iu, iv) starts at pixel (iv - m) * w + iu - m; an unscored fly
-    # reads the window at the origin. A start past the last full run is
-    # an IndexError, not a read beyond the frame.
+    # (iu, iv) starts at pixel (iv - m) * w + iu - m. A start past the
+    # last full run is an IndexError, not a read beyond the frame.
     k = 2 * m + 1
-    corners = np.where(scored, np.stack([iu_l, iu_r]) + ((iv - m) * w - m), 0) * c
+    corners = (np.stack([iu_l, iu_r]) + ((iv - m) * w - m)) * c
     starts = corners[:, :, None] + np.arange(k) * (w * c)
     run = np.dtype((np.void, k * c))
-    rows = [np.ndarray((w * h * c - k * c + 1,), run, im.samples, strides=(1,)) for im in (frame.left, frame.right)]
-    win = np.concatenate((rows[0][starts[0]], rows[1][starts[1]])).view(np.uint8)  # left, then right
+    views = [np.ndarray((w * h * c - k * c + 1,), run, im.samples, strides=(1,)) for im in (frame.left, frame.right)]
+    win = np.concatenate((views[0][starts[0]], views[1][starts[1]])).view(np.uint8)  # left, then right
     # the SSD reads the central (2n+1)^2 pixels, summed in integers, which
     # is exact; int32 holds the sum unless the window is huge
     cols = slice(None) if n else slice(4 * c, 5 * c)
     acc = np.int32 if win.shape[1] * 255**2 < 2**31 else np.int64
-    count = len(positions)
+    count = len(rows)
     diff = np.subtract(win[:count, cols], win[count:, cols], dtype=acc)
     ssd = np.einsum("nk,nk->n", diff, diff)
     # one Sobel pass over both views and the whole batch
     norms = _sobel_norm(win, m, c)
-    numerator = norms[:count] * norms[count:]
-    return np.where(scored, numerator / (params.fitness_epsilon + ssd), 0.0)
+    fitness[rows] = scores = norms[:count] * norms[count:] / (params.fitness_epsilon + ssd)
+    if memo is not None:  # numpy names no winner among repeated slots, so each item is written whole
+        items = np.empty(count, np.complex128)
+        items.view(np.int64)[::2], items.view(np.float64)[1::2] = keys, scores
+        memo[slots] = items
+    return fitness
 
 
 def _sobel_norm(windows: np.ndarray, m: int, c: int) -> np.ndarray:

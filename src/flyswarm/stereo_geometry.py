@@ -66,20 +66,21 @@ class StereoRig:
     z_max_m: float = 20.0
 
     def __post_init__(self):
-        if self.baseline_m <= 0:
-            raise ValueError(f"baseline_m must be > 0, got {self.baseline_m}")
+        if not 0 < self.baseline_m < math.inf:
+            raise ValueError(f"baseline_m must be > 0 and finite, got {self.baseline_m}")
         if self.camera_height_m < 0:
             raise ValueError(f"camera_height_m must be >= 0, got {self.camera_height_m}")
         if not (0 < self.z_min_m < self.z_max_m):
             raise ValueError(f"need 0 < z_min_m < z_max_m, got {self.z_min_m}, {self.z_max_m}")
-        # no point of the search volume lies further than reach off the optical axis in x or y:
-        # the box's widest side bounds every fly draw (past the float range a draw is NaN, never
-        # inside), and reach^2 * z_max_m bounds the warning's divisor x^2 * z
+        # no point of the search volume lies further than reach off the optical axis in x or y: reach^2 * z_max_m
+        # bounds the warning's divisor x^2 * z, and with it finite so is every fly draw, 2 * reach + baseline_m wide
         K = self.intrinsics
         reach = self.z_max_m * max(K.image_width, K.image_height) / K.focal_length_px
-        widest, divisor = 2 * reach + self.baseline_m, reach * reach * self.z_max_m
-        if not (math.isfinite(widest) and math.isfinite(divisor)):
-            raise ValueError(f"search volume overflows: its widest side is {widest} m and x^2 * z reaches {divisor}")
+        divisor = reach * reach * self.z_max_m
+        if not math.isfinite(divisor):
+            raise ValueError(f"search volume overflows: x^2 * z reaches {divisor}")
+        if K.image_width**2 * K.image_height >= 2**63:  # a pixel triple's memo key, (v * w + u_l) * w + u_r, is int64
+            raise ValueError(f"image_width**2 * image_height must be below 2**63, got {K.image_width}x{K.image_height}")
 
 
 def project_many(rig: StereoRig, points: np.ndarray):

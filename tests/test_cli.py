@@ -508,14 +508,27 @@ class TestFailureContract:
         assert out == ""
         assert err.startswith("flyswarm: error:") and err.count("\n") == 1
 
-    def test_unallocatable_image_size_exits_2(self, tmp_path, capsys):
+    def run_synth(self, tmp_path, capsys, size):
         conf = tmp_path / "run.conf"
-        conf.write_text("image_size = 100000000, 100000000\n")
+        conf.write_text(f"image_size = {size}\n")
         capsys.readouterr()
         code = main(["synth", "--preset", "empty-road", "--config", str(conf), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("flyswarm: error:") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        return captured.err
+
+    # numpy once refused this size after 1.6 GB of per-column and per-row
+    # slopes; the rig now refuses it first, as its pixel triples overflow int64
+    def test_unallocatable_image_size_exits_2(self, tmp_path, capsys):
+        err = self.run_synth(tmp_path, capsys, "100000000, 100000000")
+        assert err == "flyswarm: error: image_width**2 * image_height must be below 2**63, got 100000000x100000000\n"
+
+    # a size the rig accepts can still ask for more than the address space
+    # (146 TiB of per-row slopes), which numpy refuses without allocating
+    def test_image_size_past_the_address_space_exits_2(self, tmp_path, capsys):
+        err = self.run_synth(tmp_path, capsys, "640, 20000000000000")
+        assert err.startswith("flyswarm: error: Unable to allocate")
 
     # warnings as errors: before the rig rejected it, synth rendered with
     # overflow warnings and detect drew NaN flies without end
@@ -588,6 +601,8 @@ class TestFailureContract:
             ("z_clamp_m = 1e307\nmax_range_m = 1e308", "warning divisor x^2 * z overflows: x_clamp_m = 0.5, z_clamp_m = 1e+307"),
             # numpy's seeding rejected it in words that named no key
             ("rng_seed = -1", "rng_seed must be >= 0, got -1"),
+            # a fly on two equal windows scored inf
+            ("fitness_epsilon = 1e-308", "fitness_epsilon must be > 0 and 2.1e6 / it finite, got 1e-308"),
         ],
     )
     def test_value_past_its_model_bound_exits_2_before_any_output(self, tmp_path, capsys, line, message):

@@ -25,7 +25,15 @@ from flyswarm.evolution import (
     survivor_count,
 )
 from flyswarm.imaging import Image, load_pnm, save_pnm
-from flyswarm.stereo_geometry import CameraIntrinsics, SearchVolume, StereoRig, project_many, sample_points, search_volume
+from flyswarm.stereo_geometry import (
+    CameraIntrinsics,
+    SearchVolume,
+    StereoRig,
+    project_many,
+    sample_points,
+    search_volume,
+    visible_many,
+)
 from flyswarm.synth import Scene, TexturedRect, render_stereo_pair
 from flyswarm.warning import WarningParams
 from reference import naive_fitness, project, sobel_norm_map
@@ -156,6 +164,12 @@ class TestFitnessKernel:
     @example(seed=0, height=7, width=9, channels=1, radius=3, centres=[(4.75, 0.25, 3.0)])
     @example(seed=0, height=7, width=9, channels=3, radius=3, centres=[(4.75, 0.25, 3.0)])
     @example(seed=0, height=7, width=9, channels=3, radius=2, centres=[])
+    # a window wider than the whole frame: every fly scores 0
+    @example(seed=0, height=3, width=3, channels=3, radius=5, centres=[(1.0, 0.5, 1.0)])
+    # a window exactly as tall, or as wide, as the frame; a disparity lost
+    # to rounding puts both centres on the one column a 3 px width allows
+    @example(seed=0, height=3, width=9, channels=1, radius=1, centres=[(3.0, 2.0, 1.0)])
+    @example(seed=0, height=9, width=3, channels=1, radius=1, centres=[(1.0, 1e-28, 4.0)])
     def test_any_centre_matches_reference_oracle(self, seed, height, width, channels, radius, centres):
         rng = np.random.default_rng(seed)
         shape = (height, width) if channels == 1 else (height, width, 3)
@@ -230,29 +244,50 @@ class TestScoreCache:
     """Survivors keep their raw fitness while the frame, rig, radius and
     epsilon stay the same; every other row is scored again."""
 
-    def test_only_rows_after_the_survivors_are_scored(self, monkeypatch, session_rig, pedestrian_pair):
-        projected = []
+    @staticmethod
+    def _evaluator(monkeypatch):
+        """``evaluate(target, frame, rig, params)`` runs ``evaluate_population``
+        and returns the rows it projected and, of the visible ones, how many
+        the memo served: their windows never reached the Sobel. Its scores
+        must equal a full evaluation of a fresh twin, bit for bit."""
+        counts = [0, 0]
+        sobel_norm = evolution._sobel_norm
 
-        def recording(rig, points):
-            projected.append(len(points))
+        def projecting(rig, points):
+            counts[0] += len(points)
             return project_many(rig, points)
 
-        monkeypatch.setattr(evolution, "project_many", recording)
+        def sobel(windows, m, c):
+            counts[1] += len(windows) // 2  # left and right windows of each scored row
+            return sobel_norm(windows, m, c)
+
+        monkeypatch.setattr(evolution, "project_many", projecting)
+        monkeypatch.setattr(evolution, "_sobel_norm", sobel)
+
+        def evaluate(target, frame, rig, params):
+            counts[:] = 0, 0
+            evaluate_population(target, frame, rig, params)
+            projected, gathered = counts
+            new = target.positions[len(target) - projected :]
+            visible = np.count_nonzero(visible_many(rig, *project_many(rig, new), new[:, 2], params.neighborhood_radius))
+            twin = Population(target.positions)
+            evaluate_population(twin, frame, rig, params)
+            assert target.raw_fitness.tobytes() == twin.raw_fitness.tobytes()
+            return projected, visible - gathered
+
+        return evaluate
+
+    def test_only_rows_after_the_survivors_are_scored(self, monkeypatch, session_rig, pedestrian_pair):
+        evaluate = self._evaluator(monkeypatch)
         params = EvolutionParams()
         rng = np.random.default_rng(21)
         pop = Population.initialize(session_rig, params, rng)
         n, s = len(pop), survivor_count(params.selection_ratio, len(pop))
 
         def rows_scored(target, frame, rig=session_rig, params=params):
-            """Rows ``evaluate_population`` projects; its scores must equal
-            a full evaluation of a fresh twin, bit for bit."""
-            del projected[:]
-            evaluate_population(target, frame, rig, params)
-            rows = sum(projected)
-            twin = Population(target.positions)
-            evaluate_population(twin, frame, rig, params)
-            assert target.raw_fitness.tobytes() == twin.raw_fitness.tobytes()
-            return rows
+            projected, served = evaluate(target, frame, rig, params)
+            assert served == 0
+            return projected
 
         def refill():
             apply_sharing(pop, session_rig, params)
@@ -262,12 +297,13 @@ class TestScoreCache:
         assert rows_scored(pop, frame) == n
         assert rows_scored(pop, frame) == 0
         refill()
-        assert rows_scored(pop, frame) == n - s == 3000
+        assert rows_scored(pop, frame) == n - s == 3000  # the memo starts empty here
         refill()
         # a wider second selection also keeps 1000 children that were never scored
         apply_sharing(pop, session_rig, params)
         select_and_refill(pop, session_rig, EvolutionParams(selection_ratio=0.6), rng)
-        assert rows_scored(pop, frame) == n - s
+        assert evaluate(pop, frame, session_rig, params)[0] == n - s
+        # each key change below starts from no memo: every visible row reaches the Sobel
         refill()
         assert rows_scored(pop, StereoFrame(*pedestrian_pair)) == n  # equal pixels, new frame
         refill()
@@ -280,6 +316,87 @@ class TestScoreCache:
         refill()
         assert rows_scored(pop, inverted, rig=dataclasses.replace(session_rig, baseline_m=0.5)) == n
         assert rows_scored(Population(pop.positions), inverted) == n
+
+    def test_converged_swarm_is_served_from_the_memo(self, monkeypatch, session_rig, pedestrian_pair):
+        evaluate = self._evaluator(monkeypatch)
+        params = EvolutionParams(rng_seed=27)
+        rng = np.random.default_rng(27)
+        pop = Population.initialize(session_rig, params, rng)
+        frame = StereoFrame(*pedestrian_pair)
+        projected = served = 0
+        for generation in range(50):
+            rows, memo_rows = evaluate(pop, frame, session_rig, params)
+            assert memo_rows == 0 if generation < 2 else memo_rows > 0
+            if generation >= 45:
+                projected, served = projected + rows, served + memo_rows
+            apply_sharing(pop, session_rig, params)
+            select_and_refill(pop, session_rig, params, rng)
+        # by generation 45 the swarm has converged on the pedestrian, and its
+        # new flies mostly probe triples that flies before them scored
+        assert projected == 5 * 3000 and served > projected // 2
+
+    def test_colliding_triples_each_keep_their_own_score(self):
+        # f = 100 px, b = 1 m and the principal point at the origin put a fly
+        # at depth 100 / (u_l - u_r) onto exactly the pixels (u_l, v), (u_r, v)
+        rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), 640, 480), baseline_m=1.0)
+        triples = np.random.default_rng(28).integers((100, 200, 0), (400, 440, 40), (1000, 3))
+        triples[:, 2] = triples[:, 1] - 1 - triples[:, 2]  # u_r below u_l
+        keys = [(v * 640 + u_l) * 640 + u_r for v, u_l, u_r in triples.tolist()]
+        slots = [(key * 0x9E3779B97F4A7C15 % 2**64) >> (64 - evolution.MEMO_BITS) for key in keys]
+        first = {}
+        i, j = next((first[slot], k) for k, slot in enumerate(slots) if first.setdefault(slot, k) != k)
+        v, u_l, u_r = triples[[i, j]].T.astype(np.float64)
+        z = 100.0 / (u_l - u_r)
+        flies = np.stack([u_l * z / 100.0 - 0.5, -v * z / 100.0, z], axis=1)
+        noise = np.random.default_rng(29).integers(0, 256, (2, 480, 640), dtype=np.uint8)
+        frame, params = StereoFrame(Image(noise[0]), Image(noise[1])), EvolutionParams()
+
+        def scores(pop):
+            pop.scored_rows = 0  # rescore every row under the same key, so the memo serves what it holds
+            evaluate_population(pop, frame, rig, params)
+            twin = Population(pop.positions)
+            evaluate_population(twin, frame, rig, params)
+            assert pop.raw_fitness.tobytes() == twin.raw_fitness.tobytes()
+            return pop.raw_fitness.tolist()
+
+        a, b = scores(Population(flies))
+        assert a != b and a > 0 and b > 0
+        for order in ([0, 1], [1, 0]):
+            pop = Population(flies[order])
+            for _ in range(3):
+                assert scores(pop) == [[a, b][k] for k in order]
+        pop = Population(flies[:1])  # one after the other through one slot
+        for k in (0, 1, 1, 0, 0, 1):
+            pop.positions[0] = flies[k]
+            assert scores(pop) == [[a, b][k]]
+
+    # radius 0 scores 0 on the 1 px border without reading a window; small
+    # images make flies share triples, so the memo serves many of them
+    @given(
+        size=st.tuples(st.integers(10, 40), st.integers(10, 40)),
+        channels=st.sampled_from([1, 3]),
+        radius=st.integers(0, 3),
+        population=st.integers(2, 300),
+        generations=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_memo_scores_equal_a_fresh_twin(self, size, channels, radius, population, generations, seed):
+        w, h = size
+        rig = StereoRig(CameraIntrinsics(float(w), (w / 2, h / 2), w, h), 0.2, 0.3, 1.0, 5.0)
+        params = EvolutionParams(population_size=population, neighborhood_radius=radius, rng_seed=seed)
+        rng = np.random.default_rng(seed)
+        # 2x2 blocks of noise, and the right view the left one moved 2 px: some windows match
+        left = np.kron(rng.integers(0, 256, (h // 2 + 1, w // 2 + 1, channels), dtype=np.uint8), np.ones((2, 2, 1), np.uint8))
+        left = np.ascontiguousarray(left[:h, :w].squeeze(axis=2) if channels == 1 else left[:h, :w])
+        frame = StereoFrame(Image(left), Image(np.roll(left, -2, axis=1)))
+        pop = Population.initialize(rig, params, rng)
+        for _ in range(generations):
+            evaluate_population(pop, frame, rig, params)
+            twin = Population(pop.positions)
+            evaluate_population(twin, frame, rig, params)
+            assert pop.raw_fitness.tobytes() == twin.raw_fitness.tobytes()
+            apply_sharing(pop, rig, params)
+            select_and_refill(pop, rig, params, rng)
 
     def test_colour_frame_with_no_rows_left_to_score(self, session_rig, pedestrian_pair):
         # selection_ratio 1 keeps every fly, so from the second generation
@@ -835,6 +952,16 @@ def test_params_at_their_overflow_bounds(default_rig):
     assert np.all(pop.shared_fitness == 1.0 / 64.0**exponent)
     with pytest.raises(ValueError, match=r"population_size \*\* sharing_exponent overflows: 64 \*\* 170.668"):
         EvolutionParams(population_size=64, sharing_exponent=1024.01 / 6)
+    # a gradient product of 1020**2 + 510**2 over an SSD of 0: the right view is the left one moved 2 px
+    left = np.zeros((9, 9), dtype=np.uint8)
+    left[3:6, 3:6] = [[0, 0, 255], [0, 128, 255], [0, 255, 255]]
+    pair = Image(left), Image(np.roll(left, -2, axis=1))
+    smallest = 1.168163775716281e-302  # bisected: 2.1e6 / smallest is finite, 2.1e6 / the next float down is not
+    for views in (pair, tuple(Image(np.repeat(im.samples[..., None], 3, axis=2)) for im in pair)):  # grey, then RGB
+        fitness = window_fitness(*views, [((4, 4), (2, 4))], radius=1, epsilon=smallest)
+        assert np.isfinite(fitness).all() and fitness[0] > 1e308
+    with pytest.raises(ValueError, match=r"fitness_epsilon must be > 0 and 2.1e6 / it finite, got 1.1681637757162807e-302"):
+        EvolutionParams(fitness_epsilon=float(np.nextafter(smallest, 0)))
 
 
 # warnings as errors: past these bounds warning_values overflowed in numpy, and the run went on

@@ -6,6 +6,9 @@ painting in bands of rows holds 1.8 MB. Joining 5000 flies.csv lines into
 one string held 2.3 MB; streaming them in blocks holds 0.2 MB. Writing
 each overlay through ``tobytes()`` and a concatenated header held 2.8 MB;
 writing the samples' own buffer holds 1.0 MB. Each bound sits between.
+The second evaluation on a frame allocates the score memo (512 KiB) and
+scores 3000 new flies in 1.87 MB; its bound leaves no room for a memo
+twice that size.
 """
 
 import tracemalloc
@@ -14,7 +17,14 @@ import numpy as np
 import pytest
 
 from flyswarm import cli
-from flyswarm.evolution import EvolutionParams, Population
+from flyswarm.evolution import (
+    EvolutionParams,
+    Population,
+    StereoFrame,
+    apply_sharing,
+    evaluate_population,
+    select_and_refill,
+)
 from flyswarm.synth import render_stereo_pair
 from flyswarm.warning import WarningParams
 
@@ -51,3 +61,14 @@ def test_write_flies_csv_peak(tmp_path, flies):
 def test_write_overlays_peak(tmp_path, session_rig, pedestrian_pair, flies):
     rc = cli.RunConfig(session_rig, EvolutionParams(), WarningParams(), 1, tmp_path)
     assert traced_peak_mb(cli.write_overlays, rc, *pedestrian_pair, flies[0]) <= 1.5
+
+
+def test_second_evaluation_peak(session_rig, pedestrian_pair):
+    params, rng = EvolutionParams(), np.random.default_rng(8)
+    pop, frame = Population.initialize(session_rig, params, rng), StereoFrame(*pedestrian_pair)
+    evaluate_population(pop, frame, session_rig, params)
+    apply_sharing(pop, session_rig, params)
+    select_and_refill(pop, session_rig, params, rng)
+    assert len(pop) - pop.scored_rows == 3000 and pop.memo is None
+    assert traced_peak_mb(evaluate_population, pop, frame, session_rig, params) <= 2.0
+    assert pop.memo is not None

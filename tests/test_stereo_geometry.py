@@ -125,11 +125,25 @@ def test_rig_validation():
             CameraIntrinsics(500.0, (u0, v0), 640, 480)
     assert CameraIntrinsics(500.0, (0.0, 0.0), 1, 1).principal_point == (0.0, 0.0)
     # a volume past the float range, or NaN, would have sample_points draw forever
-    with pytest.raises(ValueError, match="overflows: .* is inf"):
-        StereoRig(CameraIntrinsics(1e-308, (320.0, 240.0), 640, 480), baseline_m=0.4)
-    for f, baseline in ((np.nan, 0.4), (500.0, np.nan)):
-        with pytest.raises(ValueError, match="overflows: .* is nan"):
-            StereoRig(CameraIntrinsics(f, (320.0, 240.0), 640, 480), baseline_m=baseline)
+    for f, reached in ((1e-308, "inf"), (np.nan, "nan")):
+        with pytest.raises(ValueError, match=re.escape(f"search volume overflows: x^2 * z reaches {reached}")):
+            StereoRig(CameraIntrinsics(f, (320.0, 240.0), 640, 480), baseline_m=0.4)
+    # the baseline is checked itself: a NaN passed `baseline_m <= 0`
+    for baseline in (np.nan, np.inf, -np.inf, 0.0):
+        with pytest.raises(ValueError, match=re.escape(f"baseline_m must be > 0 and finite, got {baseline}")):
+            StereoRig(K, baseline_m=baseline)
+    assert StereoRig(K, baseline_m=1.7976931348623157e308).baseline_m == 1.7976931348623157e308
+
+
+def test_rig_keeps_a_pixel_triple_key_in_int64():
+    """(v * w + u_l) * w + u_r names a pixel triple; the rig keeps w * w * h below 2**63."""
+    for w, h in ((2**21, 2**21), (2**21 + 1, 2**21 - 1), (100_000_000, 100_000_000)):
+        with pytest.raises(ValueError, match=re.escape(f"must be below 2**63, got {w}x{h}")):
+            StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), w, h))
+    for w, h in ((2**21, 2**21 - 1), (2**21 - 1, 2**21)):
+        StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), w, h))
+        iv, iu = np.int64([h - 1]), np.int64([w - 1])  # the largest key, in the kernel's int64 arithmetic
+        assert ((iv * w + iu) * w + iu).tolist() == [w * w * h - 1]
 
 
 # warnings as errors: x^2 * z, the warning's divisor, overflowed in numpy
@@ -141,10 +155,10 @@ def test_rig_bounds_the_warning_divisor():
     points[:3] = search_volume(rig, 2).bounding_box()[0]  # a corner of the box, and so of the volume
     values = warning_values(points, np.ones(1000), np.zeros(1000, dtype=bool), WarningParams())
     assert np.all(values > 0)
-    with pytest.raises(ValueError, match=r"search volume overflows: .* x\^2 \* z reaches inf"):
+    with pytest.raises(ValueError, match=r"search volume overflows: x\^2 \* z reaches inf"):
         StereoRig(K, z_max_m=1e103)
     # a tall image reaches as far in y as a wide one does in x; its 16 px width alone would not overflow
-    with pytest.raises(ValueError, match=r"search volume overflows: .* x\^2 \* z reaches inf"):
+    with pytest.raises(ValueError, match=r"search volume overflows: x\^2 \* z reaches inf"):
         StereoRig(CameraIntrinsics(500.0, (8.0, 320.0), 16, 640), z_max_m=1e103)
 
 
