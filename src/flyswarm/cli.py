@@ -156,11 +156,12 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
     most the frame in use and the pair being decoded in memory.
     """
     swarm = Swarm(rc.rig, rc.evo, rc.warn)  # a rig without a search volume fails here, before any output
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
     trace: list[tuple[int, float]] = []
     for left, right in frames:
         swarm.feed(left, right)
         del left, right  # the frame holds what it needs; free the pair before the next decode
+        if not trace:  # the first pair is accepted: make --out now, so that a bad --out fails before the first line
+            rc.out_dir.mkdir(parents=True, exist_ok=True)
         for _ in range(rc.generations):
             report = swarm.step()
             trace.append((len(trace) + 1, report.global_mean))

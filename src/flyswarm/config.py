@@ -2,19 +2,19 @@
 
 One `key = value` per line, `#` starts a comment, and a value is comma-
 or space-separated numbers. Every key but `obstacle` is read by one rule:
-- it names a model field (`image_size` sets both image sides), and the
-  field's annotation gives the count and type: a `tuple[...]` takes one
-  number per element, anything else one number, and an `int` takes
-  integers only;
+- it names a model field, and the field's annotation gives the count
+  and type: a `tuple[...]` takes one number per element, anything else
+  one number, and an `int` takes integers only;
 - it is given at most once; only `obstacle` lines collect, one
   rectangle each;
 - a value the model rejects is a ConfigError, like a malformed one.
-Keys are read in field order, so an error names the first bad one.
-Example:
+A model's keys are all parsed, in field order, before the model checks
+them, so an error names the first malformed key, else the model's first
+complaint. Example:
 
+    image_size      = 640, 480
     focal_length_px = 500
     principal_point = 320, 240
-    image_size      = 640, 480
     baseline_m      = 0.4
     camera_height_m = 1.2
     z_min_m = 1.0
@@ -31,7 +31,7 @@ import math
 from dataclasses import fields
 
 from .evolution import EvolutionParams
-from .stereo_geometry import CameraIntrinsics, StereoRig
+from .stereo_geometry import StereoRig
 from .synth import Scene, TexturedRect
 from .warning import WarningParams
 
@@ -143,10 +143,7 @@ def _from_fields(cls, cfg: dict, **given):
 
 
 def rig_from_config(cfg: dict) -> StereoRig:
-    # one key sets both image sides
-    size = _read(cfg, "image_size", "tuple[int, int]", (CameraIntrinsics.image_width, CameraIntrinsics.image_height))
-    intrinsics = _from_fields(CameraIntrinsics, cfg, image_width=size[0], image_height=size[1])
-    return _from_fields(StereoRig, cfg, intrinsics=intrinsics)
+    return _from_fields(StereoRig, cfg)
 
 
 def evolution_params_from_config(cfg: dict, **flags) -> EvolutionParams:

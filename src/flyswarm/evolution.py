@@ -190,7 +190,7 @@ class StereoFrame:
 
 def check_rig_match(image: Image, rig: StereoRig, name: str) -> Image:
     """``image``, or a ValueError naming it if its size is not the rig's."""
-    w, h = rig.intrinsics.image_width, rig.intrinsics.image_height
+    w, h = rig.image_size
     if (image.width, image.height) != (w, h):
         raise ValueError(f"{name} image is {image.width}x{image.height} but the rig expects {w}x{h}")
     return image
@@ -299,7 +299,7 @@ def apply_sharing(population: Population, rig: StereoRig, params: EvolutionParam
     which ``evaluate_population`` guarantees.
     """
     u_left, _, v = project_many(rig, population.positions)
-    w, h = rig.intrinsics.image_width, rig.intrinsics.image_height
+    w, h = rig.image_size
     # a cell this wide already holds the whole image, and a wider one
     # would overflow the int64 division
     cell = min(params.sharing_cell_px, max(w, h))

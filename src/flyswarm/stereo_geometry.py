@@ -4,9 +4,10 @@ World frame convention (used everywhere in this package): origin at the
 midpoint between the two optical centres, x lateral (positive toward the
 right camera), y vertical (positive up), z forward along the common
 optical axis. The left camera centre sits at (-baseline/2, 0, 0), the
-right at (+baseline/2, 0, 0). Both cameras share the same intrinsics and
-their axes are parallel (rectified rig), so a world point projects onto
-the same image row in both views and its column disparity is
+right at (+baseline/2, 0, 0). Both cameras share the rig's intrinsics
+(``image_size``, ``focal_length_px``, ``principal_point``) and their axes
+are parallel (rectified rig), so a world point projects onto the same
+image row in both views and its column disparity is
 
     x_left - x_right = focal_length_px * baseline_m / z  > 0.
 
@@ -33,39 +34,32 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
-    """Pinhole intrinsics shared by both cameras of the rig."""
+class StereoRig:
+    """Calibrated rectified stereo pair: the intrinsics both cameras share,
+    their baseline and height above the ground, and the fly depth bounds."""
 
+    image_size: tuple[int, int] = (640, 480)
     focal_length_px: float = 500.0
     principal_point: tuple[float, float] = (320.0, 240.0)
-    image_width: int = 640
-    image_height: int = 480
-
-    def __post_init__(self):
-        # a tuple keeps the rig hashable and equal to one built from a list
-        u0, v0 = map(float, self.principal_point)
-        object.__setattr__(self, "principal_point", (u0, v0))
-        if self.focal_length_px <= 0:
-            raise ValueError(f"focal_length_px must be > 0, got {self.focal_length_px}")
-        if self.image_width < 1 or self.image_height < 1:
-            raise ValueError("image dimensions must be positive")
-        if not (0 <= u0 < self.image_width):
-            raise ValueError(f"principal point u0={u0} outside [0, {self.image_width})")
-        if not (0 <= v0 < self.image_height):
-            raise ValueError(f"principal point v0={v0} outside [0, {self.image_height})")
-
-
-@dataclass(frozen=True)
-class StereoRig:
-    """Calibrated rectified stereo pair plus the fly depth bounds."""
-
-    intrinsics: CameraIntrinsics = CameraIntrinsics()
     baseline_m: float = 0.4
     camera_height_m: float = 1.2
     z_min_m: float = 1.0
     z_max_m: float = 20.0
 
     def __post_init__(self):
+        # tuples keep the rig hashable and equal to one built from lists
+        w, h = self.image_size
+        u0, v0 = map(float, self.principal_point)
+        object.__setattr__(self, "image_size", (w, h))
+        object.__setattr__(self, "principal_point", (u0, v0))
+        if self.focal_length_px <= 0:
+            raise ValueError(f"focal_length_px must be > 0, got {self.focal_length_px}")
+        if w < 1 or h < 1:
+            raise ValueError("image dimensions must be positive")
+        if not (0 <= u0 < w):
+            raise ValueError(f"principal point u0={u0} outside [0, {w})")
+        if not (0 <= v0 < h):
+            raise ValueError(f"principal point v0={v0} outside [0, {h})")
         if not 0 < self.baseline_m < math.inf:
             raise ValueError(f"baseline_m must be > 0 and finite, got {self.baseline_m}")
         if self.camera_height_m < 0:
@@ -74,13 +68,12 @@ class StereoRig:
             raise ValueError(f"need 0 < z_min_m < z_max_m, got {self.z_min_m}, {self.z_max_m}")
         # no point of the search volume lies further than reach off the optical axis in x or y: reach^2 * z_max_m
         # bounds the warning's divisor x^2 * z, and with it finite so is every fly draw, 2 * reach + baseline_m wide
-        K = self.intrinsics
-        reach = self.z_max_m * max(K.image_width, K.image_height) / K.focal_length_px
+        reach = self.z_max_m * max(w, h) / self.focal_length_px
         divisor = reach * reach * self.z_max_m
         if not math.isfinite(divisor):
             raise ValueError(f"search volume overflows: x^2 * z reaches {divisor}")
-        if K.image_width**2 * K.image_height >= 2**63:  # a pixel triple's memo key, (v * w + u_l) * w + u_r, is int64
-            raise ValueError(f"image_width**2 * image_height must be below 2**63, got {K.image_width}x{K.image_height}")
+        if w**2 * h >= 2**63:  # a pixel triple's memo key, (v * w + u_l) * w + u_r, is int64
+            raise ValueError(f"image_width**2 * image_height must be below 2**63, got {w}x{h}")
 
 
 def project_many(rig: StereoRig, points: np.ndarray):
@@ -90,9 +83,8 @@ def project_many(rig: StereoRig, points: np.ndarray):
     v array is returned. Each point is divided by its own depth, so a point
     at z <= 0 projects to inf or nan; :func:`visible_many` rejects it.
     """
-    K = rig.intrinsics
-    f = K.focal_length_px
-    u0, v0 = K.principal_point
+    f = rig.focal_length_px
+    u0, v0 = rig.principal_point
     half_b = 0.5 * rig.baseline_m
     x, y, z = np.asarray(points, dtype=np.float64).T
     u_left = u0 + f * (x + half_b) / z
@@ -104,9 +96,9 @@ def project_many(rig: StereoRig, points: np.ndarray):
 def visible_many(rig: StereoRig, u_left, u_right, v, z, margin: int):
     """True where a point is in front of the cameras (z > 0) and its
     projection, padded by ``margin`` pixels, lies inside both images."""
-    K = rig.intrinsics
-    u_hi = K.image_width - 1 - margin
-    v_hi = K.image_height - 1 - margin
+    w, h = rig.image_size
+    u_hi = w - 1 - margin
+    v_hi = h - 1 - margin
     return (
         (np.asarray(z) > 0)
         & (u_left >= margin) & (u_left <= u_hi)
@@ -136,14 +128,13 @@ class SearchVolume:
     """
 
     def __init__(self, rig: StereoRig, margin: int):
-        K = rig.intrinsics
-        if K.image_width - 1 - 2 * margin <= 0 or K.image_height - 1 - 2 * margin <= 0:
+        W, H = rig.image_size
+        if W - 1 - 2 * margin <= 0 or H - 1 - 2 * margin <= 0:
             raise ValueError(f"images too small for a {margin} px visibility margin")
-        f = K.focal_length_px
-        u0, v0 = K.principal_point
+        f = rig.focal_length_px
+        u0, v0 = rig.principal_point
         self.rig = rig
         self.margin = margin
-        H, W = K.image_height, K.image_width
         half_b = 0.5 * rig.baseline_m
         # z * slope + offset for x_lo, y_lo, z_lo, x_hi, y_hi and z_hi, held
         # as columns so that the bounds of N depths are six contiguous rows
@@ -154,7 +145,7 @@ class SearchVolume:
         if lo[0, 0] > hi[0, 0]:  # x at z_min
             raise ValueError(
                 "fields of view do not intersect at z_min_m "
-                f"(need z_min >= {f * rig.baseline_m / (K.image_width - 1 - 2 * margin):.3g} m)"
+                f"(need z_min >= {f * rig.baseline_m / (W - 1 - 2 * margin):.3g} m)"
             )
         # the bounds are linear, so the end slices hold their extremes;
         # read-only, as the volume is shared

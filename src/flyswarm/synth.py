@@ -112,10 +112,9 @@ def _paint(img, zbuf, depth, a, b, cell, seed, hit) -> None:
 # covers it, and _paint rejects it as a ground cell index
 @np.errstate(over="ignore", invalid="ignore")
 def _render_view(scene: Scene, rig: StereoRig, cam_x: float) -> np.ndarray:
-    K = rig.intrinsics
-    f = K.focal_length_px
-    u0, v0 = K.principal_point
-    w, h = K.image_width, K.image_height
+    f = rig.focal_length_px
+    u0, v0 = rig.principal_point
+    w, h = rig.image_size
     dir_x = (np.arange(w, dtype=np.float64) - u0) / f  # per column
     dir_y_all = -(np.arange(h, dtype=np.float64)[:, None] - v0) / f  # per row, world-y slope
 

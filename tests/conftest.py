@@ -5,7 +5,7 @@ import pytest
 from flyswarm.cli import main
 from flyswarm.evolution import EvolutionParams, Population, StereoFrame, evaluate_population
 from flyswarm.imaging import Image
-from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig
+from flyswarm.stereo_geometry import StereoRig
 from flyswarm.synth import PRESET_NAMES, preset_scene, render_stereo_pair
 
 hypothesis.settings.register_profile("default", max_examples=100, deadline=None)
@@ -15,7 +15,7 @@ hypothesis.settings.load_profile("default")
 @pytest.fixture
 def default_rig() -> StereoRig:
     return StereoRig(
-        intrinsics=CameraIntrinsics(500.0, (320.0, 240.0), 640, 480),
+        image_size=(640, 480), focal_length_px=500.0, principal_point=(320.0, 240.0),
         baseline_m=0.4,
         camera_height_m=1.2,
         z_min_m=1.0,
@@ -28,7 +28,7 @@ def symmetric_rig() -> StereoRig:
     # principal point at the exact image centre so the search volume is
     # symmetric in x and y
     return StereoRig(
-        intrinsics=CameraIntrinsics(500.0, (319.5, 239.5), 640, 480),
+        image_size=(640, 480), focal_length_px=500.0, principal_point=(319.5, 239.5),
         baseline_m=0.4,
         camera_height_m=1.2,
     )
@@ -38,7 +38,7 @@ def symmetric_rig() -> StereoRig:
 def small_rig() -> StereoRig:
     # 64x64 images for fast evolutionary loops
     return StereoRig(
-        intrinsics=CameraIntrinsics(80.0, (32.0, 32.0), 64, 64),
+        image_size=(64, 64), focal_length_px=80.0, principal_point=(32.0, 32.0),
         baseline_m=0.2,
         camera_height_m=0.8,
         z_min_m=0.5,
@@ -49,7 +49,7 @@ def small_rig() -> StereoRig:
 @pytest.fixture(scope="session")
 def session_rig() -> StereoRig:
     return StereoRig(
-        intrinsics=CameraIntrinsics(500.0, (320.0, 240.0), 640, 480),
+        image_size=(640, 480), focal_length_px=500.0, principal_point=(320.0, 240.0),
         baseline_m=0.4,
         camera_height_m=1.2,
     )
@@ -103,7 +103,7 @@ def window_fitness(left: Image, right: Image, centres, radius: int, epsilon: flo
     at the origin puts a fly at depth 100 / (x_left - x_right) onto
     exactly those pixels.
     """
-    rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), left.width, left.height), baseline_m=1.0)
+    rig = StereoRig((left.width, left.height), 100.0, (0.0, 0.0), baseline_m=1.0)
     positions = []
     for (xl, y), (xr, yr) in centres:
         assert y == yr and xl > xr  # rectified rig: same row, positive disparity

@@ -45,17 +45,17 @@ def project(rig: StereoRig, point, margin: int = 2) -> Projection:
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     if z <= 0:  # on or behind the camera plane: no projection, never visible
         return Projection((np.nan, np.nan), (np.nan, np.nan), False)
-    K = rig.intrinsics
-    f = K.focal_length_px
-    u0, v0 = K.principal_point
+    f = rig.focal_length_px
+    u0, v0 = rig.principal_point
+    w, h = rig.image_size
     half_b = 0.5 * rig.baseline_m
     u_left = u0 + f * (x + half_b) / z
     u_right = u0 + f * (x - half_b) / z
     v = v0 - f * y / z
     visible = (
-        margin <= u_left <= K.image_width - 1 - margin
-        and margin <= u_right <= K.image_width - 1 - margin
-        and margin <= v <= K.image_height - 1 - margin
+        margin <= u_left <= w - 1 - margin
+        and margin <= u_right <= w - 1 - margin
+        and margin <= v <= h - 1 - margin
     )
     return Projection((u_left, v), (u_right, v), visible)
 
@@ -66,10 +66,10 @@ def volume_m3(rig: StereoRig, margin: int = 2) -> float:
     At depth z the slice is (a*z - b) wide and c*z high, with
     a = (W - 1 - 2*margin) / f, b the baseline and c = (H - 1 - 2*margin) / f.
     """
-    K = rig.intrinsics
-    a = (K.image_width - 1 - 2 * margin) / K.focal_length_px
+    w, h = rig.image_size
+    a = (w - 1 - 2 * margin) / rig.focal_length_px
     b = rig.baseline_m
-    c = (K.image_height - 1 - 2 * margin) / K.focal_length_px
+    c = (h - 1 - 2 * margin) / rig.focal_length_px
     z0, z1 = rig.z_min_m, rig.z_max_m
     return a * c * (z1**3 - z0**3) / 3.0 - b * c * (z1**2 - z0**2) / 2.0
 
@@ -119,8 +119,8 @@ def naive_fitness(
 ) -> float:
     """Straight-loop reimplementation of the fitness: rounded projections,
     gradient product over epsilon-shifted window SSD."""
-    f = rig.intrinsics.focal_length_px
-    u0, v0 = rig.intrinsics.principal_point
+    f = rig.focal_length_px
+    u0, v0 = rig.principal_point
     b = rig.baseline_m
     x, y, z = position
     if z <= 0:
@@ -129,7 +129,7 @@ def naive_fitness(
     xr = u0 + f * (x - b / 2) / z
     v = v0 - f * y / z
     n = params.neighborhood_radius
-    w, h = rig.intrinsics.image_width, rig.intrinsics.image_height
+    w, h = rig.image_size
     if not (n <= xl <= w - 1 - n and n <= xr <= w - 1 - n and n <= v <= h - 1 - n):
         return 0.0
     il, ir, iv = int(np.rint(xl)), int(np.rint(xr)), int(np.rint(v))

@@ -1,9 +1,13 @@
+import contextlib
+import dataclasses
 import io
+import math
 import os
 import platform
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from flyswarm.config import (
     warning_params_from_config,
 )
 from flyswarm.evolution import EvolutionParams
-from flyswarm.imaging import Image, read_pnm
+from flyswarm.imaging import Image, read_pnm, write_pnm
 from flyswarm.stereo_geometry import StereoRig
 from flyswarm.warning import WarningParams
 
@@ -50,8 +54,8 @@ class TestConfig:
             """
         )
         rig = rig_from_config(cfg)
-        assert rig.intrinsics.focal_length_px == 250
-        assert rig.intrinsics.image_width == 320
+        assert rig.focal_length_px == 250
+        assert rig.image_size == (320, 240)
         assert rig.baseline_m == 0.3
         scene = scene_from_config(cfg)
         assert len(scene.obstacles) == 2
@@ -59,7 +63,7 @@ class TestConfig:
 
     def test_defaults_when_empty(self):
         rig = rig_from_config({})
-        assert (rig.intrinsics.image_width, rig.intrinsics.image_height) == (640, 480)
+        assert rig.image_size == (640, 480)
         assert evolution_params_from_config({}).population_size == 5000
         assert warning_params_from_config({}).max_range_m == 16.0
         # each default is the dataclass field's own
@@ -119,7 +123,7 @@ class TestConfig:
             ("background_grey = 300\n", scene_from_config, "background_grey must be in"),
             ("obstacle = 0, 0, 4, 0, 1.7, 7\n", scene_from_config, "rectangle sides must be positive"),
         ],
-        ids=["CameraIntrinsics", "StereoRig", "EvolutionParams", "WarningParams", "Scene", "TexturedRect"],
+        ids=["StereoRig-focal", "StereoRig", "EvolutionParams", "WarningParams", "Scene", "TexturedRect"],
     )
     def test_model_rejection_is_config_error(self, text, build, match):
         with pytest.raises(ConfigError, match=match) as caught:
@@ -156,6 +160,11 @@ class TestConfig:
         cfg = parse_config_text("mutation_sigma = 1 2\npopulation_size = 1.5\n")
         with pytest.raises(ConfigError, match="key 'population_size' expects integers"):
             evolution_params_from_config(cfg)
+        # a model's keys are all parsed before it checks any: a malformed
+        # baseline is named before the focal length the rig rejects
+        cfg = parse_config_text("focal_length_px = 0\nbaseline_m = abc\n")
+        with pytest.raises(ConfigError, match="expected numbers, got 'abc'"):
+            rig_from_config(cfg)
 
     def test_value_without_numbers_rejected(self):
         # "," splits into no numbers at all; this used to end in an IndexError
@@ -260,6 +269,21 @@ def test_documented_keys_are_the_keys_a_run_reads():
         read, _ = check_keys([*argv, "--population", "5", "--seed", "5"] if "evolution" in groups else argv, {})
         assert read == group_keys(groups), argv
     assert set().union(*COMMAND_READS.values()) == set(KEY_GROUPS)
+
+
+@pytest.mark.parametrize(
+    "build, model",
+    [
+        (rig_from_config, StereoRig),
+        (evolution_params_from_config, EvolutionParams),
+        (warning_params_from_config, WarningParams),
+    ],
+)
+def test_each_key_is_the_field_of_its_name(build, model):
+    # the rig once read image_size into an inner model's two fields
+    log = KeyLog({})
+    assert build(log) == model()
+    assert log.read == {f.name for f in dataclasses.fields(model)}
 
 
 def test_readme_lists_the_keys_a_run_reads():
@@ -698,6 +722,33 @@ class TestFailureContract:
         assert err.count("\n") == 1 and "mutation_sigma" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["sequence-missing", "sequence-truncated", "detect-grey-colour", "detect-2x2"])
+    def test_rejected_first_pair_leaves_no_out(self, tmp_path, capsys, case):
+        # --out was made before the first pair was decoded and fed, so each left it empty
+        left, right = self.pair[1], self.pair[3]
+        command, config = "detect", None
+        if case == "sequence-missing":
+            command, left = "sequence", str(tmp_path / "missing.pgm")
+        elif case == "sequence-truncated":
+            command, left = "sequence", str(tmp_path / "cut.pgm")
+            Path(left).write_bytes(Path(self.pair[1]).read_bytes()[:-1])
+        elif case == "detect-grey-colour":
+            right = str(tmp_path / "colour.ppm")
+            write_pnm(Path(right), Image(np.zeros((480, 640, 3), dtype=np.uint8)))
+        else:  # the rig and its search volume take 2x2 images, a frame does not
+            config, tiny = tmp_path / "tiny.conf", tmp_path / "tiny"
+            config.write_text("image_size = 2, 2\nprincipal_point = 1, 1\nfocal_length_px = 2\n")
+            assert main(["synth", "--preset", "empty-road", "--config", str(config), "--out", str(tiny)]) == 0
+            config.write_text(config.read_text() + "neighborhood_radius = 0\n")
+            left, right = str(tiny / "left.pgm"), str(tiny / "right.pgm")
+        argv = [command, "--left", left, "--right", right, "--population", "64", "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv + (["--config", str(config)] if config else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("flyswarm: error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_closed_stdout_exits_1_without_a_message(self, tmp_path, preset_files):
         # more output than a pipe holds, so the writer is still writing
         # when the reader closes its end
@@ -1026,3 +1077,62 @@ def test_main_fuzz_exits_0_or_2(tmp_path_factory, lines, side, population, comma
     else:
         # rejected input is rejected before any output file is written
         assert not [p for p in (work / "out").rglob("*") if p.is_file()]
+
+
+# the finite-arithmetic contract, searched: one to three of the keys a
+# command reads set to magnitudes log-uniform over 1e-308..1e308, either
+# sign, or to a float's edge values; image_size keeps the pair's small rig
+_ARITY = {"principal_point": 2, "mutation_sigma": 3}
+_EXTREME_KEYS = {
+    "synth": [k for k in KEY_GROUPS["rig"] + KEY_GROUPS["scene"] if k not in ("image_size", "obstacle")],
+    "run": [k for group in EVOLVE_GROUPS for k in KEY_GROUPS[group] if k != "image_size"],
+}
+_extreme = st.one_of(
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-308, 308)).map(lambda se: se[0] * 10.0 ** se[1]),
+    st.sampled_from([0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+# an integer key takes only integral values, so half the draws are written as one
+_extreme_text = st.tuples(_extreme, st.booleans()).map(lambda vi: str(int(vi[0])) if vi[1] else repr(vi[0]))
+
+
+def _all_finite(lines) -> bool:
+    return all(math.isfinite(float(v)) for line in lines for v in line.split(","))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    size=st.tuples(st.integers(16, 64), st.integers(16, 64)),
+    population=st.integers(2, 64),
+    generations=st.integers(1, 2),
+    command=st.sampled_from(["detect", "sequence", "synth"]),
+)
+def test_extreme_values_exit_0_finite_or_2_without_output(
+    tmp_path_factory, data, size, population, generations, command
+):
+    (w, h), work = size, tmp_path_factory.mktemp("extreme")
+    rig = {"image_size": f"{w}, {h}", "principal_point": f"{w / 2}, {h / 2}", "focal_length_px": f"{w}"}
+    cfg = {**rig, "obstacle": "0, -0.35, 4, 0.5, 1.7, 202", "ground_texture_seed": "101"}
+    conf = work / "run.conf"
+    argv = ["synth"]
+    if command != "synth":
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        assert main(["synth", "--config", str(conf), "--out", str(work / "pair")]) == 0
+        argv = [command, "--left", str(work / "pair" / "left.pgm"), "--right", str(work / "pair" / "right.pgm")]
+        argv += ["--population", str(population), "--generations", str(generations)]
+        cfg = dict(rig)
+    keys = st.lists(st.sampled_from(_EXTREME_KEYS["synth" if command == "synth" else "run"]), min_size=1, max_size=3, unique=True)
+    for key in data.draw(keys):
+        cfg[key] = ", ".join(data.draw(_extreme_text) for _ in range(_ARITY.get(key, 1)))
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    out, stdout, stderr = work / "out", io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv + ["--config", str(conf), "--out", str(out)])
+    if code == 0:
+        assert stderr.getvalue() == "" and _all_finite(stdout.getvalue().splitlines())
+        assert all(_all_finite(p.read_text().splitlines()[1:]) for p in out.glob("*.csv"))
+    else:
+        assert code == 2, stderr.getvalue()
+        assert stdout.getvalue() == "" and stderr.getvalue().count("\n") == 1
+        assert not out.exists()

@@ -26,7 +26,6 @@ from flyswarm.evolution import (
 )
 from flyswarm.imaging import Image, load_pnm, save_pnm
 from flyswarm.stereo_geometry import (
-    CameraIntrinsics,
     SearchVolume,
     StereoRig,
     project_many,
@@ -103,7 +102,7 @@ class TestFitness:
         # an IndexError, a larger one in a run that read the wrong pixels
         (w, h), (rig_w, rig_h) = frame_size, rig_size
         image = Image(np.random.default_rng(5).integers(0, 256, (h, w), dtype=np.uint8))
-        rig = StereoRig(CameraIntrinsics(rig_w * 500 / 640, (rig_w / 2, rig_h / 2), rig_w, rig_h), baseline_m=0.4)
+        rig = StereoRig((rig_w, rig_h), rig_w * 500 / 640, (rig_w / 2, rig_h / 2), baseline_m=0.4)
         swarm = Swarm(rig, EvolutionParams(population_size=200))
         swarm.feed(image, image)
         with pytest.raises(ValueError, match=f"left image is {w}x{h} but the rig expects {rig_w}x{rig_h}"):
@@ -175,7 +174,7 @@ class TestFitnessKernel:
         shape = (height, width) if channels == 1 else (height, width, 3)
         left, right = (Image(rng.integers(0, 256, shape, dtype=np.uint8)) for _ in range(2))
         # focal length 100 px, baseline 1 m, principal point at the origin
-        rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), width, height), baseline_m=1.0)
+        rig = StereoRig((width, height), 100.0, (0.0, 0.0), baseline_m=1.0)
         u_right, disparity, v = np.array(centres).reshape(-1, 3).T  # no centres: no rows to score
         z = 100.0 / disparity
         pts = np.column_stack([(u_right + disparity) * z / 100.0 - 0.5, -v * z / 100.0, z])
@@ -206,7 +205,7 @@ class TestFitnessKernel:
         if channels == 3:
             stripes = np.repeat(stripes[:, :, None], 3, axis=2)
         left, right = Image(stripes), Image(255 - stripes)
-        rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), 420, 420), baseline_m=1.0)
+        rig = StereoRig((420, 420), 100.0, (0.0, 0.0), baseline_m=1.0)
         u_left, disparity, v = np.array([(200.0, 4.0, 200.0), (250.0, 8.0, 150.0), (300.0, 12.0, 260.0)]).T
         z = 100.0 / disparity
         pts = np.column_stack([u_left * z / 100.0 - 0.5, -v * z / 100.0, z])
@@ -338,7 +337,7 @@ class TestScoreCache:
     def test_colliding_triples_each_keep_their_own_score(self):
         # f = 100 px, b = 1 m and the principal point at the origin put a fly
         # at depth 100 / (u_l - u_r) onto exactly the pixels (u_l, v), (u_r, v)
-        rig = StereoRig(CameraIntrinsics(100.0, (0.0, 0.0), 640, 480), baseline_m=1.0)
+        rig = StereoRig((640, 480), 100.0, (0.0, 0.0), baseline_m=1.0)
         triples = np.random.default_rng(28).integers((100, 200, 0), (400, 440, 40), (1000, 3))
         triples[:, 2] = triples[:, 1] - 1 - triples[:, 2]  # u_r below u_l
         keys = [(v * 640 + u_l) * 640 + u_r for v, u_l, u_r in triples.tolist()]
@@ -382,7 +381,7 @@ class TestScoreCache:
     )
     def test_memo_scores_equal_a_fresh_twin(self, size, channels, radius, population, generations, seed):
         w, h = size
-        rig = StereoRig(CameraIntrinsics(float(w), (w / 2, h / 2), w, h), 0.2, 0.3, 1.0, 5.0)
+        rig = StereoRig((w, h), float(w), (w / 2, h / 2), 0.2, 0.3, 1.0, 5.0)
         params = EvolutionParams(population_size=population, neighborhood_radius=radius, rng_seed=seed)
         rng = np.random.default_rng(seed)
         # 2x2 blocks of noise, and the right view the left one moved 2 px: some windows match
@@ -510,7 +509,7 @@ class TestSharing:
     def test_cell_wider_than_int64(self, default_rig):
         # used to end in an OverflowError; every visible fly shares one
         # cell, on a portrait image too
-        portrait = StereoRig(CameraIntrinsics(500.0, (240.0, 320.0), 480, 640), baseline_m=0.4)
+        portrait = StereoRig((480, 640), 500.0, (240.0, 320.0), baseline_m=0.4)
         for rig in (default_rig, portrait):
             pop = Population(sample_points(rig, np.random.default_rng(7), 50, margin=2))
             pop.raw_fitness[:] = 5.0
@@ -550,7 +549,7 @@ class TestSharing:
         # clipped to a ring of cells; only flies on the image score, as
         # evaluate_population guarantees. The occupancy must be that of
         # the unbounded grid.
-        rig = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), w, h), baseline_m=0.4)
+        rig = StereoRig((w, h), 500.0, (320.0, 240.0), baseline_m=0.4)
         cell = default_params.sharing_cell_px
         us = [-10**6, -9, -1, 0, 3, 7, 8, 12, w - 9, w - 8, w - 1, w, w + 7, w + 8, 10**6]
         vs = [-10**6, -9, -1, 0, 7, 8, h - 9, h - 8, h - 1, h, h + 7, h + 8, 10**6]
@@ -973,7 +972,7 @@ def test_params_at_their_overflow_bounds(default_rig):
 )
 @pytest.mark.parametrize("u0", [320.0, 319.0], ids=["default", "mirrored"])  # 319 = (w - 1) - 320 reaches 12.52 m at x > 0
 def test_warning_clamps_at_their_overflow_bounds(clamp, largest, smallest_rejected, u0):
-    rig = StereoRig(CameraIntrinsics(500.0, (u0, 240.0), 640, 480))
+    rig = StereoRig((640, 480), 500.0, (u0, 240.0))
     params = EvolutionParams(population_size=200, rng_seed=3)
     frame = [Image(np.random.default_rng(4).integers(0, 256, (480, 640), dtype=np.uint8))] * 2
     swarm = Swarm(rig, params, WarningParams(**{clamp: largest, "max_range_m": 2e306}))

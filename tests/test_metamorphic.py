@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from flyswarm.cli import main
 from flyswarm.evolution import EvolutionParams, Population, StereoFrame, evaluate_population
 from flyswarm.imaging import Image
-from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig, project_many, sample_points
+from flyswarm.stereo_geometry import StereoRig, project_many, sample_points
 
 # the keys in metres; every other key is in pixels or counts, and an
 # obstacle's numbers are metres but for its texture seed, the sixth
@@ -170,8 +170,8 @@ def test_scaling_every_length_scales_the_run(tmp_path_factory, case, k):
 )
 def test_mirrored_swapped_pair_keeps_the_fitness(w, h, f, baseline, u0, v0, radius, channels, seed):
     u0, v0, f = u0 * (w - 1), v0 * (h - 1), f * w
-    rig = StereoRig(CameraIntrinsics(f, (u0, v0), w, h), baseline_m=baseline, z_min_m=2 * f * baseline / (w - 1 - 2 * radius))
-    mirrored = dataclasses.replace(rig, intrinsics=dataclasses.replace(rig.intrinsics, principal_point=(w - 1 - u0, v0)))
+    rig = StereoRig((w, h), f, (u0, v0), baseline_m=baseline, z_min_m=2 * f * baseline / (w - 1 - 2 * radius))
+    mirrored = dataclasses.replace(rig, principal_point=(w - 1 - u0, v0))
     rng = np.random.default_rng(seed)
     left, right = rng.integers(0, 256, (2, h, w) + (channels,) * (channels == 3), dtype=np.uint8)
     frame = StereoFrame(Image(left), Image(right))

@@ -1,10 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig, project_many, sample_points, search_volume, visible_many
+from flyswarm.stereo_geometry import StereoRig, project_many, sample_points, search_volume, visible_many
 from flyswarm.warning import WarningParams, warning_values
 from reference import project, volume_m3
 
@@ -75,7 +76,7 @@ def test_visibility_bounds_are_inclusive(default_rig):
     assert visible_many(default_rig, *np.tile(inside, (2, 1)).T, [0.0, 5e-324], margin=2).tolist() == [False, True]
 
 
-_RIG = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), 640, 480), baseline_m=0.4)
+_RIG = StereoRig((640, 480), 500.0, (320.0, 240.0), baseline_m=0.4)
 
 
 @given(
@@ -88,60 +89,60 @@ def test_disparity_depth_product(x, y, z):
     p = project(_RIG, (x, y, z))
     disparity = p.left_px[0] - p.right_px[0]
     assert disparity > 0
-    fb = _RIG.intrinsics.focal_length_px * _RIG.baseline_m
+    fb = _RIG.focal_length_px * _RIG.baseline_m
     assert disparity * z == pytest.approx(fb, rel=1e-9)
 
 
 def test_list_principal_point_keeps_rig_hashable():
     # a list used to stay a list: the rig could not be hashed and compared
     # unequal to the same rig built from a tuple
-    from_list = StereoRig(CameraIntrinsics(500.0, [320, 240], 640, 480), baseline_m=0.4)
-    from_tuple = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), 640, 480), baseline_m=0.4)
-    assert from_list.intrinsics.principal_point == (320.0, 240.0)
+    from_list = StereoRig([640, 480], 500.0, [320, 240], baseline_m=0.4)
+    from_tuple = StereoRig((640, 480), 500.0, (320.0, 240.0), baseline_m=0.4)
+    assert (from_list.image_size, from_list.principal_point) == ((640, 480), (320.0, 240.0))
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert search_volume(from_list, 2) is search_volume(from_tuple, 2)  # one build for both
 
 
 def test_rig_validation():
-    K = CameraIntrinsics(500.0, (320.0, 240.0), 640, 480)
     with pytest.raises(ValueError):
-        StereoRig(K, baseline_m=-0.1)
+        StereoRig(baseline_m=-0.1)
     for z_min, z_max in ((5.0, 2.0), (5.0, 5.0), (0.0, 20.0), (-0.5, 20.0)):
         with pytest.raises(ValueError, match=re.escape(f"need 0 < z_min_m < z_max_m, got {z_min}, {z_max}")):
-            StereoRig(K, baseline_m=0.4, z_min_m=z_min, z_max_m=z_max)
+            StereoRig(baseline_m=0.4, z_min_m=z_min, z_max_m=z_max)
     with pytest.raises(ValueError, match="camera_height_m must be >= 0, got -0.1"):
-        StereoRig(K, camera_height_m=-0.1)
-    assert StereoRig(K, camera_height_m=0.0).camera_height_m == 0.0  # a camera on the ground
+        StereoRig(camera_height_m=-0.1)
+    assert StereoRig(camera_height_m=0.0).camera_height_m == 0.0  # a camera on the ground
     with pytest.raises(ValueError):
-        CameraIntrinsics(-1.0, (320.0, 240.0), 640, 480)
+        StereoRig(focal_length_px=-1.0)
     with pytest.raises(ValueError):
-        CameraIntrinsics(500.0, (700.0, 240.0), 640, 480)
+        StereoRig(principal_point=(700.0, 240.0))
     # an empty side leaves no principal point either, but the message names the side
     for w, h in ((0, 480), (640, 0)):
         with pytest.raises(ValueError, match="image dimensions must be positive"):
-            CameraIntrinsics(500.0, (0.0, 0.0), w, h)
+            StereoRig((w, h), principal_point=(0.0, 0.0))
     for u0, v0 in ((640.0, 240.0), (-0.5, 240.0), (320.0, 480.0), (320.0, -0.5)):
         side = f"u0={u0} outside [0, 640)" if v0 == 240.0 else f"v0={v0} outside [0, 480)"
         with pytest.raises(ValueError, match=re.escape(f"principal point {side}")):
-            CameraIntrinsics(500.0, (u0, v0), 640, 480)
-    assert CameraIntrinsics(500.0, (0.0, 0.0), 1, 1).principal_point == (0.0, 0.0)
+            StereoRig(principal_point=(u0, v0))
+    assert StereoRig((1, 1), 500.0, (0.0, 0.0)).principal_point == (0.0, 0.0)
     # a volume past the float range, or NaN, would have sample_points draw forever
     for f, reached in ((1e-308, "inf"), (np.nan, "nan")):
         with pytest.raises(ValueError, match=re.escape(f"search volume overflows: x^2 * z reaches {reached}")):
-            StereoRig(CameraIntrinsics(f, (320.0, 240.0), 640, 480), baseline_m=0.4)
+            StereoRig(focal_length_px=f)
     # the baseline is checked itself: a NaN passed `baseline_m <= 0`
     for baseline in (np.nan, np.inf, -np.inf, 0.0):
         with pytest.raises(ValueError, match=re.escape(f"baseline_m must be > 0 and finite, got {baseline}")):
-            StereoRig(K, baseline_m=baseline)
-    assert StereoRig(K, baseline_m=1.7976931348623157e308).baseline_m == 1.7976931348623157e308
+            StereoRig(baseline_m=baseline)
+    assert StereoRig(baseline_m=1.7976931348623157e308).baseline_m == 1.7976931348623157e308
 
 
 def test_rig_keeps_a_pixel_triple_key_in_int64():
     """(v * w + u_l) * w + u_r names a pixel triple; the rig keeps w * w * h below 2**63."""
     for w, h in ((2**21, 2**21), (2**21 + 1, 2**21 - 1), (100_000_000, 100_000_000)):
         with pytest.raises(ValueError, match=re.escape(f"must be below 2**63, got {w}x{h}")):
-            StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), w, h))
+            StereoRig((w, h), 500.0, (320.0, 240.0))
     for w, h in ((2**21, 2**21 - 1), (2**21 - 1, 2**21)):
-        StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), w, h))
+        StereoRig((w, h), 500.0, (320.0, 240.0))
         iv, iu = np.int64([h - 1]), np.int64([w - 1])  # the largest key, in the kernel's int64 arithmetic
         assert ((iv * w + iu) * w + iu).tolist() == [w * w * h - 1]
 
@@ -149,27 +150,25 @@ def test_rig_keeps_a_pixel_triple_key_in_int64():
 # warnings as errors: x^2 * z, the warning's divisor, overflowed in numpy
 @pytest.mark.filterwarnings("error")
 def test_rig_bounds_the_warning_divisor():
-    K = CameraIntrinsics(500.0, (320.0, 240.0), 640, 480)
-    rig = StereoRig(K, z_max_m=1e102)  # reach 1.28e102, reach^2 * z_max 1.6e306
+    rig = StereoRig(z_max_m=1e102)  # reach 1.28e102, reach^2 * z_max 1.6e306
     points = sample_points(rig, np.random.default_rng(0), 1000, margin=2)
     points[:3] = search_volume(rig, 2).bounding_box()[0]  # a corner of the box, and so of the volume
     values = warning_values(points, np.ones(1000), np.zeros(1000, dtype=bool), WarningParams())
     assert np.all(values > 0)
     with pytest.raises(ValueError, match=r"search volume overflows: x\^2 \* z reaches inf"):
-        StereoRig(K, z_max_m=1e103)
+        StereoRig(z_max_m=1e103)
     # a tall image reaches as far in y as a wide one does in x; its 16 px width alone would not overflow
     with pytest.raises(ValueError, match=r"search volume overflows: x\^2 \* z reaches inf"):
-        StereoRig(CameraIntrinsics(500.0, (8.0, 320.0), 16, 640), z_max_m=1e103)
+        StereoRig((16, 640), 500.0, (8.0, 320.0), z_max_m=1e103)
 
 
 def slice_bounds(rig, z, margin=2):
     """x_lo, x_hi, y_lo, y_hi of the volume's slice at depth z, in scalar form."""
-    K = rig.intrinsics
-    f, (u0, v0), half_b = K.focal_length_px, K.principal_point, 0.5 * rig.baseline_m
+    (w, h), f, (u0, v0), half_b = rig.image_size, rig.focal_length_px, rig.principal_point, 0.5 * rig.baseline_m
     return (
         z * ((margin - u0) / f) + half_b,
-        z * ((K.image_width - 1 - margin - u0) / f) - half_b,
-        z * ((v0 - (K.image_height - 1 - margin)) / f),
+        z * ((w - 1 - margin - u0) / f) - half_b,
+        z * ((v0 - (h - 1 - margin)) / f),
         z * ((v0 - margin) / f),
     )
 
@@ -188,7 +187,7 @@ PRINCIPAL_POINTS = {
 
 @pytest.fixture(params=PRINCIPAL_POINTS.values(), ids=PRINCIPAL_POINTS)
 def pp_rig(request) -> StereoRig:
-    return StereoRig(CameraIntrinsics(500.0, request.param, 640, 480), baseline_m=0.4)
+    return StereoRig((640, 480), 500.0, request.param, baseline_m=0.4)
 
 
 class TestSearchVolume:
@@ -238,7 +237,7 @@ class TestSearchVolume:
         # points on each bounding plane, one float step either side of it,
         # and -0.0 on a plane at 0 (v0 = margin or H - 1 - margin puts the
         # top or bottom plane there), against the bounds in scalar form
-        rig = StereoRig(CameraIntrinsics(500.0, (320.0, v0), 640, 480), baseline_m=0.4)
+        rig = StereoRig((640, 480), 500.0, (320.0, v0), baseline_m=0.4)
 
         def inside(x, y, z):
             x_lo, x_hi, y_lo, y_hi = slice_bounds(rig, z)
@@ -288,10 +287,10 @@ class TestSearchVolume:
 
     def test_reused_while_the_rig_is_equal(self, default_rig):
         vol = search_volume(default_rig, margin=2)
-        twin = StereoRig(CameraIntrinsics(500.0, (320.0, 240.0), 640, 480), baseline_m=0.4)
+        twin = StereoRig((640, 480), 500.0, (320.0, 240.0), baseline_m=0.4)
         assert search_volume(twin, margin=2) is vol
         assert search_volume(default_rig, margin=3).margin == 3
-        wider = search_volume(StereoRig(twin.intrinsics, baseline_m=0.5), margin=2)
+        wider = search_volume(dataclasses.replace(twin, baseline_m=0.5), margin=2)
         assert wider.bounding_box()[0][0] != vol.bounding_box()[0][0]
         with pytest.raises(ValueError):
             vol.bounding_box()[0][0] = 0.0  # shared, so read-only
@@ -299,22 +298,20 @@ class TestSearchVolume:
     def test_too_small_image_rejected(self):
         # a slice needs a pixel of width and of height inside the margin
         for size in ((5, 5), (5, 64), (64, 5)):
-            K = CameraIntrinsics(50.0, (2.0, 2.0), *size)
-            rig = StereoRig(K, baseline_m=0.4)
+            rig = StereoRig(size, 50.0, (2.0, 2.0), baseline_m=0.4)
             with pytest.raises(ValueError, match="too small"):
                 search_volume(rig, margin=2)
-        assert search_volume(StereoRig(CameraIntrinsics(1.0, (2.0, 2.0), 6, 6), baseline_m=0.4), margin=2).margin == 2
+        assert search_volume(StereoRig((6, 6), 1.0, (2.0, 2.0), baseline_m=0.4), margin=2).margin == 2
 
     def test_fields_of_view_must_meet_at_z_min(self):
         # the views' x ranges meet from depth f*b/(W - 1 - 2*margin) on,
         # 0.315 m here
-        K = CameraIntrinsics(500.0, (0.0, 240.0), 640, 480)
-        assert search_volume(StereoRig(K, baseline_m=0.4, z_min_m=0.32), margin=2).margin == 2
+        K = dict(image_size=(640, 480), focal_length_px=500.0, principal_point=(0.0, 240.0))
+        assert search_volume(StereoRig(**K, baseline_m=0.4, z_min_m=0.32), margin=2).margin == 2
         with pytest.raises(ValueError, match=r"do not intersect at z_min_m \(need z_min >= 0\.315 m\)"):
-            search_volume(StereoRig(K, baseline_m=0.4, z_min_m=0.3), margin=2)
+            search_volume(StereoRig(**K, baseline_m=0.4, z_min_m=0.3), margin=2)
         # exactly there the slice at z_min is one line, x = 0.25, and accepted
-        K = CameraIntrinsics(635.0, (2.0, 240.0), 640, 480)
-        vol = search_volume(StereoRig(K, baseline_m=0.5, z_min_m=0.5), margin=2)
+        vol = search_volume(StereoRig((640, 480), 635.0, (2.0, 240.0), baseline_m=0.5, z_min_m=0.5), margin=2)
         (x_lo, _, _), (x_hi, _, _) = vol.bounds(0.5)
         assert x_lo == x_hi == 0.25
 
@@ -330,7 +327,7 @@ class TestSampling:
         # the draws reach wherever the volume does, past its z_max slice too
         x_lo, x_hi, y_lo, y_hi = slice_bounds(pp_rig, pp_rig.z_max_m)
         past = (pts[:, 0] < x_lo) | (pts[:, 0] > x_hi) | (pts[:, 1] < y_lo) | (pts[:, 1] > y_hi)
-        assert past.any() == (pp_rig.intrinsics.principal_point != PRINCIPAL_POINTS["centred"])
+        assert past.any() == (pp_rig.principal_point != PRINCIPAL_POINTS["centred"])
 
     def test_lateral_mean_near_zero_on_symmetric_rig(self, symmetric_rig):
         rng = np.random.default_rng(1)

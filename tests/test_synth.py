@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flyswarm.imaging import save_pnm
-from flyswarm.stereo_geometry import CameraIntrinsics, StereoRig
+from flyswarm.stereo_geometry import StereoRig
 from flyswarm.synth import (
     BAND_ROWS,
     Scene,
@@ -67,8 +67,7 @@ def test_photo_consistency_rate(session_rig, pedestrian_scene, pedestrian_pair):
     # interior; cell-boundary pixels may disagree, but only rarely
     left, right = pedestrian_pair
     rect = pedestrian_scene.obstacles[0]
-    K = session_rig.intrinsics
-    f, (u0, v0) = K.focal_length_px, K.principal_point
+    f, (u0, v0) = session_rig.focal_length_px, session_rig.principal_point
     cx, cy, cz = rect.center
     cam_x = -session_rig.baseline_m / 2
     disparity = f * session_rig.baseline_m / cz
@@ -98,7 +97,7 @@ def test_nearer_rect_occludes(default_rig):
 def test_ground_rows_textured(default_rig):
     scene = Scene(ground_texture_seed=5, background_grey=135)
     left, _ = render_stereo_pair(scene, default_rig)
-    v0 = default_rig.intrinsics.principal_point[1]
+    v0 = default_rig.principal_point[1]
     assert np.all(left.samples[: int(v0)] == 135)  # above horizon
     bottom = left.samples[-1]
     assert bottom.min() != bottom.max()  # textured
@@ -174,7 +173,7 @@ def test_a_crop_renders_the_same_rows(width, height, rows, focal, baseline, came
     scene = Scene(obstacles=tuple(obstacles), ground_texture_seed=ground)
 
     def rendered(r0, r1, v0):
-        rig = StereoRig(CameraIntrinsics(focal, (u0, v0), width, r1 - r0), baseline, camera_height)
+        rig = StereoRig((width, r1 - r0), focal, (u0, v0), baseline, camera_height)
         return [image.samples for image in render_stereo_pair(scene, rig)]
 
     full, crop = rendered(0, height, v0), rendered(r0, r1, v0 - r0)
