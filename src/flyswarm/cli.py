@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _keep_heap() -> None:
-    """Keep glibc from handing the ~2 MB of numpy temporaries of a new frame back
+    """Keep glibc from handing the ~1 MB of numpy temporaries of a new frame back
     to the OS, which faults them in again every frame. A no-op without mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -4,7 +4,7 @@ One `key = value` per line, `#` starts a comment, and a value is comma-
 or space-separated numbers. Every key but `obstacle` is read by one rule:
 - it names a model field, and the field's annotation gives the count
   and type: a `tuple[...]` takes one number per element, anything else
-  one number, and an `int` takes integers only;
+  one number, and an `int` takes integers below 2**53 in magnitude only;
 - it is given at most once; only `obstacle` lines collect, one
   rectangle each;
 - a value the model rejects is a ConfigError, like a malformed one.
@@ -107,6 +107,10 @@ def _numbers(value: str) -> list[float]:
 def _integer(value: float, key: str) -> int:
     if value != int(value):
         raise ConfigError(f"key {key!r} expects integers, got {value!r}")
+    # a float holds every integer below 2**53 but not every one above, so
+    # a larger value may not be the one written (and its digits would fill a message)
+    if abs(value) >= 2**53:
+        raise ConfigError(f"key {key!r} expects integers below 2**53 in magnitude, got {value!r}")
     return int(value)
 
 

@@ -207,10 +207,12 @@ def evaluate_population(population: Population, frame: StereoFrame, rig: StereoR
     check_rig_match(frame.left, rig, "left")
     key = (frame, rig, params)
     fresh = population.score_key != key
-    if fresh or population.memo is None:  # a key of -1 names no triple, so the memo starts empty
-        population.memo = None if fresh else np.full(2 << MEMO_BITS, -1, np.int64).view(np.complex128)
-    start, memo = (0, None) if fresh else (population.scored_rows, population.memo)
-    population.raw_fitness[start:] = _raw_fitness(population.positions[start:], frame, rig, params, memo)
+    if fresh:  # a stale key would keep the previous frame alive while this one is scored
+        population.score_key = population.memo = None
+    elif population.memo is None:  # a key of -1 names no triple, so the memo starts empty
+        population.memo = np.full(2 << MEMO_BITS, -1, np.int64).view(np.complex128)
+    start = 0 if fresh else population.scored_rows
+    population.raw_fitness[start:] = _raw_fitness(population.positions[start:], frame, rig, params, population.memo)
     population.score_key, population.scored_rows = key, len(population)
 
 
@@ -225,6 +227,7 @@ def _raw_fitness(positions, frame: StereoFrame, rig: StereoRig, params: Evolutio
     rows = np.flatnonzero(visible_many(rig, u_left, u_right, v, positions[:, 2], margin=n))
     # a visible projection lies inside the raster, so its rounding does too
     iu_l, iu_r, iv = (np.rint(a[rows]).astype(np.int64) for a in (u_left, u_right, v))
+    del u_left, u_right, v
     if n == 0:
         # a visible centre may lie on the 1 px border, where the reference
         # Sobel norm is 0; such a fly scores 0 and its window is never read
@@ -241,20 +244,23 @@ def _raw_fitness(positions, frame: StereoFrame, rig: StereoRig, params: Evolutio
     # last, read as its 2m+1 rows: each view's flat samples seen as one
     # void item of 2m+1 pixels per starting sample. The window around
     # (iu, iv) starts at pixel (iv - m) * w + iu - m. A start past the
-    # last full run is an IndexError, not a read beyond the frame.
-    k = 2 * m + 1
-    corners = (np.stack([iu_l, iu_r]) + ((iv - m) * w - m)) * c
-    starts = corners[:, :, None] + np.arange(k) * (w * c)
+    # last full run is an IndexError, not a read beyond the frame. Each
+    # view's rows go straight into its half of one buffer, left first.
+    k, count = 2 * m + 1, len(rows)
     run = np.dtype((np.void, k * c))
-    views = [np.ndarray((w * h * c - k * c + 1,), run, im.samples, strides=(1,)) for im in (frame.left, frame.right)]
-    win = np.concatenate((views[0][starts[0]], views[1][starts[1]])).view(np.uint8)  # left, then right
+    win = np.empty((2 * count, k), run)
+    top = (iv - m) * w - m
+    for half, iu, image in ((win[:count], iu_l, frame.left), (win[count:], iu_r, frame.right)):
+        view = np.ndarray((w * h * c - k * c + 1,), run, image.samples, strides=(1,))
+        half[...] = view[((top + iu) * c)[:, None] + np.arange(k) * (w * c)]
+    win = win.view(np.uint8)
     # the SSD reads the central (2n+1)^2 pixels, summed in integers, which
     # is exact; int32 holds the sum unless the window is huge
     cols = slice(None) if n else slice(4 * c, 5 * c)
     acc = np.int32 if win.shape[1] * 255**2 < 2**31 else np.int64
-    count = len(rows)
     diff = np.subtract(win[:count, cols], win[count:, cols], dtype=acc)
     ssd = np.einsum("nk,nk->n", diff, diff)
+    del diff
     # one Sobel pass over both views and the whole batch
     norms = _sobel_norm(win, m, c)
     fitness[rows] = scores = norms[:count] * norms[count:] / (params.fitness_epsilon + ssd)

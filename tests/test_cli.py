@@ -113,6 +113,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="integers"):
             build(parse_config_text(text))
 
+    # a float holds every integer below 2**53, so each is read as written; the
+    # first one it does not hold, 2**53 + 1, reads as 2**53 and is rejected with it
+    @pytest.mark.parametrize("key", ["rng_seed", "sharing_cell_px"])
+    def test_integer_below_2_53_is_read_as_written(self, key):
+        cfg = parse_config_text(f"{key} = 9007199254740991\n")
+        assert getattr(evolution_params_from_config(cfg), key) == 2**53 - 1
+        for text in ("9007199254740992", "9007199254740993", "-9007199254740992"):
+            with pytest.raises(ConfigError, match=re.escape(f"key {key!r} expects integers below 2**53")):
+                evolution_params_from_config(parse_config_text(f"{key} = {text}\n"))
+
     @pytest.mark.parametrize(
         "text, build, match",
         [
@@ -640,6 +650,28 @@ class TestFailureContract:
         assert captured.err.startswith(f"flyswarm: error: {message}") and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    # the reader turned each into an exact int, and the model's message
+    # printed it in 201, 31 and 31 digits
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("detect", "rng_seed = -1e200"),
+            ("detect", "neighborhood_radius = 1e30"),
+            ("synth", "obstacle = 0, -0.35, 4, 0.5, 1.7, 202\nbackground_grey = 1e30"),
+        ],
+    )
+    def test_huge_integer_exits_2_in_a_short_message(self, tmp_path, capsys, command, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        argv = [command, *self.pair] if command == "detect" else [command]
+        capsys.readouterr()
+        code = main(argv + ["--config", str(conf), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        key, value = line.rsplit("\n", 1)[-1].split(" = ")
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"flyswarm: error: key {key!r} expects integers below 2**53 in magnitude, got {float(value)!r}\n"
+        assert not (tmp_path / "out").exists()
+
     # warnings as errors: numpy's seeding rejected --seed -1 in words that
     # named no key; the model now checks the flag's value as the run's own
     @pytest.mark.filterwarnings("error")
@@ -1136,3 +1168,5 @@ def test_extreme_values_exit_0_finite_or_2_without_output(
         assert code == 2, stderr.getvalue()
         assert stdout.getvalue() == "" and stderr.getvalue().count("\n") == 1
         assert not out.exists()
+        # no number longer than a float's longest repr, -2.2250738585072014e-308
+        assert max(map(len, re.findall(r"[0-9.e+-]+", stderr.getvalue()))) <= 24, stderr.getvalue()

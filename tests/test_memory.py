@@ -1,26 +1,33 @@
 """Traced peak memory (tracemalloc, which sees numpy's buffers and Python's
-objects alike) of the stages that write a run's pixels and rows.
+objects alike) of the stages that write a run's pixels and rows, and of
+scoring a generation.
 
 Rendering the 640x480 preset pair whole held 12.0 MB of temporaries;
 painting in bands of rows holds 1.8 MB. Joining 5000 flies.csv lines into
 one string held 2.3 MB; streaming them in blocks holds 0.2 MB. Writing
 each overlay through ``tobytes()`` and a concatenated header held 2.8 MB;
 writing the samples' own buffer holds 1.0 MB. Each bound sits between.
-The second evaluation on a frame allocates the score memo (512 KiB) and
-scores 3000 new flies in 1.87 MB; its bound leaves no room for a memo
-twice that size.
+Scoring 5000 flies on a new frame held 2.01 MB while the start array
+and a concatenated copy of the gathered windows lived; gathering each
+view's rows into one buffer and freeing each temporary once read holds
+1.06 MB; keeping the projections or the SSD difference alive would hold
+1.18 or 1.45 MB. The second evaluation on a frame allocates the score memo
+(512 KiB) and scores 3000 new flies in 1.31 MB (1.87 MB before); its
+bound leaves no room for a memo half again that size.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from flyswarm import cli
+from flyswarm import cli, evolution
 from flyswarm.evolution import (
     EvolutionParams,
     Population,
     StereoFrame,
+    Swarm,
     apply_sharing,
     evaluate_population,
     select_and_refill,
@@ -70,5 +77,29 @@ def test_second_evaluation_peak(session_rig, pedestrian_pair):
     apply_sharing(pop, session_rig, params)
     select_and_refill(pop, session_rig, params, rng)
     assert len(pop) - pop.scored_rows == 3000 and pop.memo is None
-    assert traced_peak_mb(evaluate_population, pop, frame, session_rig, params) <= 2.0
+    assert traced_peak_mb(evaluate_population, pop, frame, session_rig, params) <= 1.45
     assert pop.memo is not None
+
+
+def test_fresh_evaluation_peak(session_rig, pedestrian_pair):
+    params = EvolutionParams()
+    pop, frame = Population.initialize(session_rig, params, np.random.default_rng(8)), StereoFrame(*pedestrian_pair)
+    assert len(pop) == 5000
+    assert traced_peak_mb(evaluate_population, pop, frame, session_rig, params) <= 1.12
+
+
+def test_previous_frame_is_freed_before_a_new_one_is_scored(monkeypatch, session_rig, pedestrian_pair):
+    swarm = Swarm(session_rig, EvolutionParams())
+    swarm.feed(*pedestrian_pair)
+    swarm.step()
+    previous, alive = weakref.ref(swarm.frame), []
+    raw_fitness = evolution._raw_fitness
+
+    def scoring(*args):
+        alive.append(previous() is not None)
+        return raw_fitness(*args)
+
+    monkeypatch.setattr(evolution, "_raw_fitness", scoring)
+    swarm.feed(*pedestrian_pair[::-1])
+    swarm.step()
+    assert alive == [False]
