@@ -15,18 +15,17 @@ each pair only when the run reaches it) and always write
 OVERLAY_TOP_K flies of highest shared fitness, ties to the lower index.
 All outputs are deterministic for a fixed seed. Writers stream: a CSV file
 gets each line as its row is formatted (``flies.csv`` FLIES_BLOCK flies at
-a time) and a PNM file its samples' own buffer after the header, so no
-output is ever held whole as text or bytes. Rejected input (flags,
-config values, a config key the command does not read, PNM bytes, sizes
-too large to allocate) ends in exit code 2 and a one-line message on
-stderr before any output. A reader that closes stdout early ends the run
-with exit code 1 and no message.
+a time), a PNM file its samples' own buffer, an overlay BAND_ROWS RGB rows
+at a time, so no output is ever held whole as text or bytes. Rejected
+input (flags, config values, a config key the command does not read, PNM
+bytes, sizes too large to allocate) ends in exit code 2 and a one-line
+message on stderr before any output. A reader that closes stdout early
+ends the run with exit code 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import glob
 import itertools
 import os
@@ -42,14 +41,15 @@ from .config import (
     KeyLog,
     evolution_params_from_config,
     load_config,
+    read_value,
     rig_from_config,
     scene_from_config,
     warning_params_from_config,
 )
 from .evolution import EvolutionParams, Population, Swarm, check_rig_match, elite
-from .imaging import Image, read_pnm, write_pnm
+from .imaging import Image, pnm_header, read_pnm, write_pnm
 from .stereo_geometry import StereoRig, project_many
-from .synth import PRESET_NAMES, preset_scene, render_stereo_pair
+from .synth import BAND_ROWS, PRESET_NAMES, preset_scene, render_stereo_pair
 from .warning import WarningParams, WarningReport
 
 MARKER_RGB = (255, 0, 0)
@@ -116,21 +116,27 @@ def write_trace_csv(path: Path, rows: list[tuple[int, float]]) -> None:
     _write_csv(path, "generation,global_warning", ((int(g), float(w)) for g, w in rows))
 
 
-def _draw_markers(base: Image, u: np.ndarray, v: np.ndarray) -> Image:
-    """RGB copy of ``base``: a 5-pixel cross at each rounded (u[i], v[i]), clipped."""
-    rgb = np.repeat(base.samples.reshape(base.height, base.width, -1), 3 // base.channels, axis=2)
+def _write_overlay(path: Path, base: Image, u: np.ndarray, v: np.ndarray) -> None:
+    """``base`` in RGB with a 5-pixel cross at each rounded (u[i], v[i]),
+    clipped, written BAND_ROWS rows at a time."""
     uu = np.rint(u).astype(np.int64)[:, None] + [0, 1, -1, 0, 0]
     vv = np.rint(v).astype(np.int64)[:, None] + [0, 0, 0, 1, -1]
     inside = (uu >= 0) & (uu < base.width) & (vv >= 0) & (vv < base.height)
-    rgb[vv[inside], uu[inside]] = MARKER_RGB
-    return Image(rgb)
+    uu, vv = uu[inside], vv[inside]
+    with open(path, "wb") as fh:
+        fh.write(pnm_header((base.height, base.width, 3)))
+        for top in range(0, base.height, BAND_ROWS):
+            band = np.repeat(np.atleast_3d(base.samples[top : top + BAND_ROWS]), 3 // base.channels, axis=2)
+            here = (vv >= top) & (vv < top + BAND_ROWS)
+            band[vv[here] - top, uu[here]] = MARKER_RGB
+            fh.write(band.data)
 
 
 def write_overlays(rc: RunConfig, left: Image, right: Image, pop: Population) -> None:
     best = elite(pop.shared_fitness, min(OVERLAY_TOP_K, len(pop)))
     u_left, u_right, v = project_many(rc.rig, pop.positions[best])
-    write_pnm(rc.out_dir / "overlay_left.ppm", _draw_markers(left, u_left, v))
-    write_pnm(rc.out_dir / "overlay_right.ppm", _draw_markers(right, u_right, v))
+    _write_overlay(rc.out_dir / "overlay_left.ppm", left, u_left, v)
+    _write_overlay(rc.out_dir / "overlay_right.ppm", right, u_right, v)
 
 
 def cmd_synth(args, cfg: KeyLog) -> int:
@@ -198,14 +204,21 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="out", metavar="DIR", help="output directory")
 
 
+class _IntegerFlag(argparse.Action):
+    """An integer flag, read by the integer keys' rule; a bad value names the flag."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        setattr(namespace, self.dest, read_value([text], f"flag {option_string}", "int", None))
+
+
 def _add_run(sp: argparse.ArgumentParser, inputs: str, generations: int) -> None:
     """The flags of the commands that evolve a swarm."""
     _add_common(sp)
     sp.add_argument("--left", required=True, metavar=inputs)
     sp.add_argument("--right", required=True, metavar=inputs)
-    sp.add_argument("--generations", type=int, default=generations, metavar="N", help="generations per pair")
-    sp.add_argument("--population", type=int, metavar="N", help="override population_size")
-    sp.add_argument("--seed", type=int, metavar="N", help="override rng_seed")
+    sp.add_argument("--generations", action=_IntegerFlag, default=generations, metavar="N", help="generations per pair")
+    sp.add_argument("--population", action=_IntegerFlag, metavar="N", help="override population_size")
+    sp.add_argument("--seed", action=_IntegerFlag, metavar="N", help="override rng_seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,20 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_heap() -> None:
-    """Keep glibc from handing the ~1 MB of numpy temporaries of a new frame back
-    to the OS, which faults them in again every frame. A no-op without mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's maximum
-    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_heap()
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args, KeyLog(load_config(args.config) if args.config else {}))

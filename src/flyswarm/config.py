@@ -4,7 +4,7 @@ One `key = value` per line, `#` starts a comment, and a value is comma-
 or space-separated numbers. Every key but `obstacle` is read by one rule:
 - it names a model field, and the field's annotation gives the count
   and type: a `tuple[...]` takes one number per element, anything else
-  one number, and an `int` takes integers below 2**53 in magnitude only;
+  one number; an `int`, key or flag, takes integers of magnitude < 2**53;
 - it is given at most once; only `obstacle` lines collect, one
   rectangle each;
 - a value the model rejects is a ConfigError, like a malformed one.
@@ -90,46 +90,45 @@ class KeyLog(dict):
             raise ConfigError(f"unknown key {unread[0]!r}")
 
 
-def _numbers(value: str) -> list[float]:
+def _numbers(value: str, name: str) -> list[float]:
     parts = value.replace(",", " ").split()
     try:
         numbers = [float(p) for p in parts]
     except ValueError:
-        raise ConfigError(f"expected numbers, got {value!r}") from None
+        raise ConfigError(f"{name} expects numbers, got {value!r}") from None
     if not numbers:
-        raise ConfigError(f"expected numbers, got {value!r}")
+        raise ConfigError(f"{name} expects numbers, got {value!r}")
     # validators compare against bounds, and every comparison with NaN is false
     if not all(math.isfinite(v) for v in numbers):
-        raise ConfigError(f"expected finite numbers, got {value!r}")
+        raise ConfigError(f"{name} expects finite numbers, got {value!r}")
     return numbers
 
 
-def _integer(value: float, key: str) -> int:
+def _integer(value: float, name: str) -> int:
     if value != int(value):
-        raise ConfigError(f"key {key!r} expects integers, got {value!r}")
+        raise ConfigError(f"{name} expects integers, got {value!r}")
     # a float holds every integer below 2**53 but not every one above, so
     # a larger value may not be the one written (and its digits would fill a message)
     if abs(value) >= 2**53:
-        raise ConfigError(f"key {key!r} expects integers below 2**53 in magnitude, got {value!r}")
+        raise ConfigError(f"{name} expects integers below 2**53 in magnitude, got {value!r}")
     return int(value)
 
 
-def _read(cfg: dict, key: str, kind: str, default):
-    """The one value of ``key``, as the annotation ``kind`` says: a tuple
+def read_value(values: list[str] | None, name: str, kind: str, default):
+    """The one value in ``values``, as the annotation ``kind`` says: a tuple
     of as many numbers as it names, an int or a float; ``default`` when
-    the key is absent."""
-    values = cfg.get(key)
+    there is none. ``name``, a key's or a flag's, begins any message."""
     if values is None:
         return default
     if len(values) > 1:
-        raise ConfigError(f"key {key!r} given {len(values)} times, expected once")
-    numbers = _numbers(values[0])
+        raise ConfigError(f"{name} given {len(values)} times, expected once")
+    numbers = _numbers(values[0], name)
     many = kind.startswith("tuple")
     count = kind.count(",") + 1 if many else 1
     if len(numbers) != count:
-        raise ConfigError(f"key {key!r} expects {count} number(s), got {len(numbers)}")
+        raise ConfigError(f"{name} expects {count} number(s), got {len(numbers)}")
     if "int" in kind:
-        numbers = [_integer(v, key) for v in numbers]
+        numbers = [_integer(v, name) for v in numbers]
     return tuple(numbers) if many else numbers[0]
 
 
@@ -139,7 +138,7 @@ def _from_fields(cls, cfg: dict, **given):
     as a ConfigError, like a malformed one."""
     for f in fields(cls):
         if f.name not in given:
-            given[f.name] = _read(cfg, f.name, f.type, f.default)
+            given[f.name] = read_value(cfg.get(f.name), f"key {f.name!r}", f.type, f.default)
     try:
         return cls(**given)
     except ValueError as exc:
@@ -152,7 +151,7 @@ def rig_from_config(cfg: dict) -> StereoRig:
 
 def evolution_params_from_config(cfg: dict, **flags) -> EvolutionParams:
     """The evolution keys, each flag not None over the key of its name, which is still read and parsed."""
-    given = {f.name: _read(cfg, f.name, f.type, f.default) for f in fields(EvolutionParams)}
+    given = {f.name: read_value(cfg.get(f.name), f"key {f.name!r}", f.type, f.default) for f in fields(EvolutionParams)}
     given.update((name, value) for name, value in flags.items() if value is not None)
     return _from_fields(EvolutionParams, cfg, **given)
 
@@ -168,7 +167,7 @@ def scene_from_config(cfg: dict) -> Scene:
         raise ConfigError("no scene: pass --preset or a config file with scene keys")
     obstacles = []
     for raw in cfg.get("obstacle", []):
-        values = _numbers(raw)
+        values = _numbers(raw, "key 'obstacle'")
         if len(values) not in (6, 7):
             raise ConfigError(
                 "obstacle expects 'cx, cy, cz, width, height, seed[, cell]', " f"got {raw!r}"
@@ -177,7 +176,7 @@ def scene_from_config(cfg: dict) -> Scene:
             center=(values[0], values[1], values[2]),
             width_m=values[3],
             height_m=values[4],
-            texture_seed=_integer(values[5], "obstacle"),
+            texture_seed=_integer(values[5], "key 'obstacle'"),
         )
         if len(values) == 7:
             rect_args["texture_cell_m"] = values[6]

@@ -85,12 +85,12 @@ def load_pnm(data: bytes) -> Image:
     return Image(flat.reshape(shape))
 
 
-def _pnm_header(image: Image) -> bytes:
-    return b"%s\n%d %d\n255\n" % (b"P5" if image.channels == 1 else b"P6", image.width, image.height)
+def pnm_header(shape: tuple) -> bytes:  # samples of shape (H, W) are grey, (H, W, 3) colour
+    return b"%s\n%d %d\n255\n" % (b"P5" if len(shape) == 2 else b"P6", shape[1], shape[0])
 
 
 def save_pnm(image: Image) -> bytes:
-    return _pnm_header(image) + image.samples.tobytes()
+    return pnm_header(image.samples.shape) + image.samples.tobytes()
 
 
 def read_pnm(path) -> Image:
@@ -101,5 +101,5 @@ def read_pnm(path) -> Image:
 def write_pnm(path, image: Image) -> None:
     """``save_pnm``'s bytes, written from the samples' own buffer without a copy."""
     with open(path, "wb") as fh:
-        fh.write(_pnm_header(image))
+        fh.write(pnm_header(image.samples.shape))
         fh.write(image.samples.data)

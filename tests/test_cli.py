@@ -30,6 +30,7 @@ from flyswarm.config import (
 from flyswarm.evolution import EvolutionParams
 from flyswarm.imaging import Image, read_pnm, write_pnm
 from flyswarm.stereo_geometry import StereoRig
+from flyswarm.synth import BAND_ROWS
 from flyswarm.warning import WarningParams
 
 
@@ -173,14 +174,14 @@ class TestConfig:
         # a model's keys are all parsed before it checks any: a malformed
         # baseline is named before the focal length the rig rejects
         cfg = parse_config_text("focal_length_px = 0\nbaseline_m = abc\n")
-        with pytest.raises(ConfigError, match="expected numbers, got 'abc'"):
+        with pytest.raises(ConfigError, match="key 'baseline_m' expects numbers, got 'abc'"):
             rig_from_config(cfg)
 
     def test_value_without_numbers_rejected(self):
         # "," splits into no numbers at all; this used to end in an IndexError
-        with pytest.raises(ConfigError, match="expected numbers"):
+        with pytest.raises(ConfigError, match="key 'population_size' expects numbers"):
             evolution_params_from_config(parse_config_text("population_size = ,\n"))
-        with pytest.raises(ConfigError, match="expected numbers") as caught:
+        with pytest.raises(ConfigError, match="key 'population_size' expects numbers") as caught:
             evolution_params_from_config(parse_config_text("population_size = ten\n"))
         assert caught.value.__suppress_context__  # float's own error is not chained on
 
@@ -426,30 +427,53 @@ class TestDetectCommand:
         _, rows = read_csv(out / "flies.csv")
         shared = np.array([float(r[4]) for r in rows])
         order = np.argsort(-shared, kind="stable")[:250]
-        expected = set()
-        for i in order:
-            x, y, z = (float(rows[i][0]), float(rows[i][1]), float(rows[i][2]))
-            p = project(rig, (x, y, z))
-            u, v = int(np.rint(p.left_px[0])), int(np.rint(p.left_px[1]))
-            for du, dv in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-                if 0 <= u + du < 640 and 0 <= v + dv < 480:
-                    expected.add((u + du, v + dv))
-        overlay = read_pnm(out / "overlay_left.ppm")
-        red = (
-            (overlay.samples[:, :, 0] == 255)
-            & (overlay.samples[:, :, 1] == 0)
-            & (overlay.samples[:, :, 2] == 0)
-        )
-        got = {(u, v) for v, u in zip(*np.where(red))}
-        assert got == expected
+        for view in ("left", "right"):
+            expected = set()
+            for i in order:
+                x, y, z = (float(rows[i][0]), float(rows[i][1]), float(rows[i][2]))
+                px = getattr(project(rig, (x, y, z)), f"{view}_px")
+                u, v = int(np.rint(px[0])), int(np.rint(px[1]))
+                for du, dv in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+                    if 0 <= u + du < 640 and 0 <= v + dv < 480:
+                        expected.add((u + du, v + dv))
+            overlay = read_pnm(out / f"overlay_{view}.ppm")
+            red = (
+                (overlay.samples[:, :, 0] == 255)
+                & (overlay.samples[:, :, 1] == 0)
+                & (overlay.samples[:, :, 2] == 0)
+            )
+            got = {(u, v) for v, u in zip(*np.where(red))}
+            assert got == expected, view
 
-    def test_markers_are_clipped_to_the_image(self):
-        base = Image(np.zeros((4, 5), dtype=np.uint8))
+    @staticmethod
+    def overlay(tmp_path, base, u, v):
+        """The samples ``cli._write_overlay`` writes for crosses at (u[i], v[i]) on ``base``."""
+        cli._write_overlay(tmp_path / "overlay.ppm", base, np.array(u, dtype=float), np.array(v, dtype=float))
+        return read_pnm(tmp_path / "overlay.ppm").samples
+
+    def test_markers_are_clipped_to_the_image(self, tmp_path):
+        base = Image(np.zeros((4, 5), dtype=np.uint8))  # shorter than one band
         # rounded centres (0, 0), (4, 3), (5, 1) just right of the image, (-2, 9) far outside
-        marked = cli._draw_markers(base, np.array([0.4, 3.6, 5.0, -2.0]), np.array([-0.4, 3.2, 1.0, 9.0]))
-        red = {(u, v) for v, u in zip(*np.nonzero(marked.samples[:, :, 0]))}
+        marked = self.overlay(tmp_path, base, [0.4, 3.6, 5.0, -2.0], [-0.4, 3.2, 1.0, 9.0])
+        red = {(u, v) for v, u in zip(*np.nonzero(marked[:, :, 0]))}
         assert red == {(0, 0), (1, 0), (0, 1), (4, 3), (3, 3), (4, 2), (4, 1)}
         assert not base.samples.any()
+
+    # the overlay is written in bands of BAND_ROWS rows: a cross on a band's last
+    # or first row reaches into its neighbour, and a short image is one band
+    @pytest.mark.parametrize("height", [3, BAND_ROWS, 2 * BAND_ROWS + 5])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_overlay_is_the_base_in_rgb_with_every_cross(self, tmp_path, height, channels):
+        rng = np.random.default_rng(height)
+        samples = rng.integers(0, 200, (height, 9) + (3,) * (channels == 3), dtype=np.uint8)  # no pure red
+        centres = [(4, 0), (1, BAND_ROWS - 1), (7, BAND_ROWS), (3, 2 * BAND_ROWS), (5, height - 1)]
+        marked = self.overlay(tmp_path, Image(samples), *zip(*centres))
+        want = np.repeat(samples.reshape(height, 9, -1), 3 // channels, axis=2)
+        for u, v in centres:
+            for du, dv in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+                if 0 <= v + dv < height:
+                    want[v + dv, u + du] = cli.MARKER_RGB
+        np.testing.assert_array_equal(marked, want)
 
     def test_exit_zero_and_final_line(self, tmp_path, capsys, preset_files):
         out = tmp_path / "final"
@@ -672,6 +696,32 @@ class TestFailureContract:
         assert captured.err == f"flyswarm: error: key {key!r} expects integers below 2**53 in magnitude, got {float(value)!r}\n"
         assert not (tmp_path / "out").exists()
 
+    # the flags were ints that no bound held: --seed 10**30 and 2**53 ran,
+    # --seed -10**60 printed its 61 digits back, and --population 10**60
+    # ended in numpy's "Maximum allowed dimension exceeded", which named no key
+    @pytest.mark.parametrize(
+        "flag, value, shown",
+        [("--seed", 10**30, "1e+30"), ("--seed", 2**53, "9007199254740992.0"), ("--seed", -(10**60), "-1e+60"),
+         ("--population", 10**60, "1e+60")],
+    )
+    def test_huge_integer_flag_exits_2_in_a_short_message(self, tmp_path, capsys, flag, value, shown):
+        code, out, err = self.run_detect(tmp_path, capsys, flag, str(value))
+        assert code == 2 and out == ""
+        assert err == f"flyswarm: error: flag {flag} expects integers below 2**53 in magnitude, got {shown}\n"
+        assert not (tmp_path / "out").exists()
+
+    # argparse named the flag ("argument --seed: invalid int value"); the keys' reader names it too
+    def test_malformed_flag_is_named(self, tmp_path, capsys):
+        code, out, err = self.run_detect(tmp_path, capsys, "--seed", "abc")
+        assert code == 2 and out == ""
+        assert err == "flyswarm: error: flag --seed expects numbers, got 'abc'\n"
+
+    def test_integer_flag_below_2_53_is_read_as_written(self, tmp_path, capsys):
+        code, out, err = self.run_detect(tmp_path, capsys, "--seed", str(2**53 - 1), "--population", "2e2")
+        assert code == 0 and err == ""
+        _, rows = read_csv(tmp_path / "out" / "flies.csv")
+        assert len(rows) == 200
+
     # warnings as errors: numpy's seeding rejected --seed -1 in words that
     # named no key; the model now checks the flag's value as the run's own
     @pytest.mark.filterwarnings("error")
@@ -693,7 +743,7 @@ class TestFailureContract:
     def test_malformed_key_under_a_flag_exits_2(self, tmp_path, capsys):
         code, out, err = self.run_detect(tmp_path, capsys, "--population", "200", config="population_size = abc\n")
         assert code == 2 and out == ""
-        assert err == "flyswarm: error: expected numbers, got 'abc'\n"
+        assert err == "flyswarm: error: key 'population_size' expects numbers, got 'abc'\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_config_number_rejected(self):
@@ -983,11 +1033,12 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
 
 @pytest.mark.skipif(
-    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="the CLI tunes glibc's allocator only"
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="measured with glibc's allocator only"
 )
 def test_new_frames_do_not_page_fault(tmp_path):
     """Frames alternate, so every frame is new and scored in full: the heap
-    the first frames grow must serve the later ones without minor faults."""
+    the first frames grow must serve the later ones without minor faults,
+    under glibc's own dynamic mmap and trim thresholds."""
     for preset in ("empty-road", "pedestrian-4m"):
         assert main(["synth", "--preset", preset, "--out", str(tmp_path / preset)]) == 0
     src = os.path.dirname(os.path.dirname(flyswarm.__file__))
@@ -1011,8 +1062,33 @@ def test_new_frames_do_not_page_fault(tmp_path):
         )
         code, faults[n] = map(int, child.stdout.split())
         assert code == 0, child.stderr
-    # 370 to 420 per frame when glibc trims the heap after each frame
+    # glibc's defaults give 0 to 2 per frame (0 to 25 over the 12 frames); they gave
+    # 370 to 420 before a new frame was scored in a one-frame working set
     assert (faults[18] - faults[6]) / 12 <= 20
+
+
+def test_closed_stdout_ends_the_run_with_1_and_no_message(tmp_path, preset_files):
+    """A reader gone before the first line (``| head -0``), with stdout
+    block-buffered as Python makes a pipe by default: the run's flush fails
+    inside ``main``, which returns 1, and the flush at exit must not fail
+    again with a message and exit code 120."""
+    src = os.path.dirname(os.path.dirname(flyswarm.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    argv = ["detect", *preset_files["empty-road"], "--population", "20", "--generations", "2"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "flyswarm", *argv, "--out", str(tmp_path / "out")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env={**env, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, "")
 
 
 def test_bench_is_an_unknown_command(capsys):

@@ -8,7 +8,6 @@ writes for a preset and for a config scene across code changes. A change that al
 the hashes and says why in CHANGES.md. Measured with numpy 2.4.6.
 """
 
-import ctypes
 import hashlib
 import shutil
 
@@ -55,17 +54,6 @@ def test_detect_a7_run(tmp_path, preset_files):
     assert main(argv + ["--out", str(out)]) == 0
     assert sha256(out / "flies.csv") == A7_FLIES
     assert sha256(out / "warning_trace.csv") == A7_TRACE
-
-
-def _no_c_library(name):
-    raise OSError(f"{name}: cannot open shared object file")
-
-
-@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()], ids=["no-library", "no-mallopt"])
-def test_detect_a7_run_without_mallopt(tmp_path, preset_files, monkeypatch, cdll):
-    # the allocator tuning is glibc only; anywhere else it does nothing
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
-    test_detect_a7_run(tmp_path, preset_files)
 
 
 def test_detect_colour_wide_mutation(tmp_path):

@@ -5,8 +5,9 @@ scoring a generation.
 Rendering the 640x480 preset pair whole held 12.0 MB of temporaries;
 painting in bands of rows holds 1.8 MB. Joining 5000 flies.csv lines into
 one string held 2.3 MB; streaming them in blocks holds 0.2 MB. Writing
-each overlay through ``tobytes()`` and a concatenated header held 2.8 MB;
-writing the samples' own buffer holds 1.0 MB. Each bound sits between.
+each overlay through ``tobytes()`` and a concatenated header held 2.8 MB,
+and from the buffer of a whole-image RGB copy 0.98 MB; writing it in
+bands of BAND_ROWS rows holds 0.16 MB. Each bound sits between.
 Scoring 5000 flies on a new frame held 2.01 MB while the start array
 and a concatenated copy of the gathered windows lived; gathering each
 view's rows into one buffer and freeing each temporary once read holds
@@ -67,7 +68,7 @@ def test_write_flies_csv_peak(tmp_path, flies):
 
 def test_write_overlays_peak(tmp_path, session_rig, pedestrian_pair, flies):
     rc = cli.RunConfig(session_rig, EvolutionParams(), WarningParams(), 1, tmp_path)
-    assert traced_peak_mb(cli.write_overlays, rc, *pedestrian_pair, flies[0]) <= 1.5
+    assert traced_peak_mb(cli.write_overlays, rc, *pedestrian_pair, flies[0]) <= 0.3
 
 
 def test_second_evaluation_peak(session_rig, pedestrian_pair):

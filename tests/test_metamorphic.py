@@ -34,6 +34,15 @@ METRIC_KEYS = {
     "max_height_m", "min_height_m", "max_range_m", "x_clamp_m", "z_clamp_m",
 }
 OBSTACLE_SEED = 5
+K_MAX = 100  # the scales are 2**k for |k| <= K_MAX
+# a length of this magnitude or more stays a normal float at every scale,
+# so each product with 2**k is exact; relation S holds only for such lengths
+NORMAL_AT_EVERY_SCALE = 2.0 ** (-1022 + K_MAX)
+
+
+def metres(lo: float, hi: float):
+    """A length in [lo, hi], 0 or at least NORMAL_AT_EVERY_SCALE in magnitude."""
+    return st.floats(lo, hi).filter(lambda v: v == 0 or abs(v) >= NORMAL_AT_EVERY_SCALE)
 
 
 @st.composite
@@ -48,11 +57,11 @@ def small_runs(draw):
     principal_point = (draw(st.floats(0, w - 1)), draw(st.floats(0, h - 1)))
     rig = {
         "image_size": [(w, h)], "focal_length_px": [(f,)], "principal_point": [principal_point],
-        "baseline_m": [(baseline,)], "camera_height_m": [(draw(st.floats(0.0, 2.0)),)],
+        "baseline_m": [(baseline,)], "camera_height_m": [(draw(metres(0.0, 2.0)),)],
         "z_min_m": [(z_min,)], "z_max_m": [(z_max,)],
     }
     obstacle = st.tuples(
-        st.floats(-1, 1), st.floats(-1, 1), st.floats(z_min, z_max), st.floats(0.1, 2), st.floats(0.1, 2),
+        metres(-1, 1), metres(-1, 1), st.floats(z_min, z_max), st.floats(0.1, 2), st.floats(0.1, 2),
         st.integers(0, 1000), st.floats(0.01, 0.2),
     )
     scene = {"obstacle": draw(st.lists(obstacle, max_size=3)), "ground_texture_cell_m": [(draw(st.floats(0.01, 0.1)),)]}
@@ -62,11 +71,11 @@ def small_runs(draw):
     z_clamp = draw(st.floats(0.1, 2.0))
     run = {
         "neighborhood_radius": [(radius,)],
-        "max_height_m": [(draw(st.floats(0.5, 3.0)),)], "min_height_m": [(draw(st.floats(0.0, 0.4)),)],
+        "max_height_m": [(draw(st.floats(0.5, 3.0)),)], "min_height_m": [(draw(metres(0.0, 0.4)),)],
         "max_range_m": [(z_clamp + draw(st.floats(0.1, 2 * z_max)),)],
         "x_clamp_m": [(draw(st.floats(0.05, 1.0)),)], "z_clamp_m": [(z_clamp,)],
     }
-    sigma = draw(st.none() | st.tuples(*[st.floats(0.0, 0.2)] * 3))  # None derives it from the volume
+    sigma = draw(st.none() | st.tuples(*[metres(0.0, 0.2)] * 3))  # None derives it from the volume
     if sigma is not None:
         run["mutation_sigma"] = [sigma]
     flags = ["--population", draw(st.integers(2, 64)), "--generations", draw(st.integers(1, 3))]
@@ -148,9 +157,14 @@ COLUMN_SCALE = {
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=small_runs(), k=st.integers(-100, 100))
+@given(case=small_runs(), k=st.integers(-K_MAX, K_MAX))
 @example(case=TEN_CM_RIG, k=-10)  # a fixed 1 cm depth floor once scored every fly 0 here
 def test_scaling_every_length_scales_the_run(tmp_path_factory, case, k):
+    """Relation S, for lengths that stay normal floats at every scale drawn:
+    each is 0 or at least 2**(-1022 + K_MAX) in magnitude, and at most a
+    few hundred. A subnormal length times 2**k is not exact (a camera
+    height of 2.2250738585e-313 at k = -37 moved overlay pixels), so the
+    relation does not hold there, and the strategy draws none."""
     root = tmp_path_factory.mktemp("scale")
     s = 2.0**k
     base, scaled = run_outputs(root / "base", case, 1.0), run_outputs(root / "scaled", case, s)
