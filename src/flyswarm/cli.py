@@ -87,12 +87,10 @@ def _read_pairs(rig: StereoRig, lefts: list[str], rights: list[str]) -> Iterator
 
 
 def _expand_pattern(pattern: str) -> list[str]:
-    if any(ch in pattern for ch in "*?["):
-        paths = sorted(glob.glob(pattern))
-        if not paths:
-            raise ConfigError(f"pattern {pattern!r} matches no files")
-        return paths
-    return [pattern]
+    paths = sorted(glob.glob(pattern)) if any(ch in pattern for ch in "*?[") else [pattern]
+    if not paths:
+        raise ConfigError(f"pattern {pattern!r} matches no files")
+    return paths
 
 
 def _row(values: Iterable) -> str:
@@ -169,8 +167,7 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
         if not trace:  # the first pair is accepted: make --out now, so that a bad --out fails before the first line
             rc.out_dir.mkdir(parents=True, exist_ok=True)
         for _ in range(rc.generations):
-            report = swarm.step()
-            trace.append((len(trace) + 1, report.global_mean))
+            trace.append((len(trace) + 1, swarm.step().global_mean))
             print(_row(trace[-1]))
     # refresh fitness of the post-refill population so the emitted state
     # is fully evaluated against the last frame
@@ -226,6 +223,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)  # a number is a value: argparse alone reads "-5" so, but takes "-1e3" for an option
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

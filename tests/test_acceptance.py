@@ -1,12 +1,14 @@
 """Acceptance suite.
 
 Each test prints one summary line with the measured value against its
-bound. The expensive preset runs (5 seeds x 2 presets x 120 generations
-at population 5000) are shared across criteria via session fixtures.
+bound. A1-A4 assert on the measures of scripts/experiments.py, the ones
+scripts/reproduce_results.py prints. The expensive runs (each seed's
+steady runs on both presets at population 5000, and A3's switch runs) are
+shared across criteria via session fixtures.
 """
 
 import ast
-import time
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -25,122 +27,54 @@ from flyswarm.evolution import (
 )
 from flyswarm.imaging import Image
 from flyswarm.stereo_geometry import project_many, sample_points, visible_many
-from flyswarm.synth import ground_truth_depth, preset_scene, render_stereo_pair
+from flyswarm.synth import preset_scene, render_stereo_pair
 from flyswarm.warning import WarningParams, warning_values
 from reference import naive_fitness, sobel_norm_map
 
-SEEDS = (1, 2, 3, 4, 5)
-STEADY_GENERATIONS = 120
-STEADY_TAIL = 30
-SWITCH_FRAME = 40
-POST_SWITCH_FRAMES = 60
+_spec = importlib.util.spec_from_file_location("experiments", Path(__file__).resolve().parents[1] / "scripts" / "experiments.py")
+ex = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ex)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"{name} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def read_trace(path):
-    rows = path.read_text().strip().splitlines()[1:]
-    return np.array([float(r.split(",")[1]) for r in rows])
-
-
 @pytest.fixture(scope="session")
-def preset_steady_traces(tmp_path_factory, preset_files):
-    """Per-seed warning traces of cmd_detect on both presets."""
+def steady_means(tmp_path_factory, preset_files):
+    """Each seed's ``{preset: steady mean}``."""
     root = tmp_path_factory.mktemp("steady")
-    traces = {}
-    for preset in ("pedestrian-4m", "empty-road"):
-        for seed in SEEDS:
-            out = root / f"{preset}-{seed}"
-            code = main(
-                [
-                    "detect",
-                    *preset_files[preset],
-                    "--out",
-                    str(out),
-                    "--seed",
-                    str(seed),
-                    "--generations",
-                    str(STEADY_GENERATIONS),
-                ]
-            )
-            assert code == 0
-            traces[(preset, seed)] = read_trace(out / "warning_trace.csv")
-    return traces
+    return {
+        seed: {p: ex.steady_mean(ex.steady_trace(preset_files[p], root / f"{p}-{seed}", seed)) for p in ex.PRESETS}
+        for seed in ex.SEEDS
+    }
 
 
 @pytest.fixture(scope="session")
-def steady_means(preset_steady_traces):
-    ped = {s: preset_steady_traces[("pedestrian-4m", s)][-STEADY_TAIL:].mean() for s in SEEDS}
-    empty = {s: preset_steady_traces[("empty-road", s)][-STEADY_TAIL:].mean() for s in SEEDS}
-    return ped, empty
-
-
-@pytest.fixture(scope="session")
-def sequence_frames_dir(tmp_path_factory, session_rig):
-    """Frame files for the empty -> obstacle switch sequence."""
-    root = tmp_path_factory.mktemp("frames")
-    for name, preset in (("empty", "empty-road"), ("ped", "pedestrian-4m")):
-        out = root / name
-        assert main(["synth", "--preset", preset, "--out", str(out)]) == 0
-    frames = root / "seq"
-    frames.mkdir()
-    empty_l = (root / "empty" / "left.pgm").read_bytes()
-    empty_r = (root / "empty" / "right.pgm").read_bytes()
-    ped_l = (root / "ped" / "left.pgm").read_bytes()
-    ped_r = (root / "ped" / "right.pgm").read_bytes()
-    for i in range(SWITCH_FRAME + POST_SWITCH_FRAMES):
-        l, r = (empty_l, empty_r) if i < SWITCH_FRAME else (ped_l, ped_r)
-        (frames / f"L_{i:04d}.pgm").write_bytes(l)
-        (frames / f"R_{i:04d}.pgm").write_bytes(r)
-    return frames
+def reactions(tmp_path_factory, preset_files, steady_means):
+    """Each seed's A3 crossing."""
+    root = tmp_path_factory.mktemp("switch")
+    frames = ex.switch_frames(preset_files, root / "frames")
+    return {seed: ex.reaction_crossing(frames, root / f"seq-{seed}", seed, steady_means[seed]) for seed in ex.SEEDS}
 
 
 def test_a1_convergence(tmp_path):
-    out, pair = tmp_path / "a1", tmp_path / "pair"
     # the gate covers rendering the pair and detecting on it
-    t0 = time.perf_counter()
-    assert main(["synth", "--preset", "pedestrian-4m", "--out", str(pair)]) == 0
-    code = main(
-        ["detect", "--left", str(pair / "left.pgm"), "--right", str(pair / "right.pgm"), "--out", str(out), "--seed", "1", "--generations", "200"]
-    )
-    elapsed = time.perf_counter() - t0
-    assert code == 0
-    rows = (out / "flies.csv").read_text().strip().splitlines()[1:]
-    data = np.array([[float(v) for v in r.split(",")[:5]] for r in rows])
-    assert data.shape[0] == 5000
-    shared = data[:, 4]
-    best = np.argsort(-shared, kind="stable")[:250]
-    scene = preset_scene("pedestrian-4m", _session_rig())
-    good = 0
-    for i in best:
-        x, y, z = data[i, 0], data[i, 1], data[i, 2]
-        gt = ground_truth_depth(scene, (x, y, z))
-        if gt is not None and abs(z - gt) <= 0.05 * gt:
-            good += 1
-    fraction = good / 250
+    flies, elapsed = ex.convergence(tmp_path, seed=1)
+    assert flies.shape[0] == 5000
+    fraction = ex.depth_hit_fraction(flies)
     ok = fraction >= 0.70 and elapsed <= 10.0
     report(
         "A1 convergence",
         ok,
-        f"{fraction:.1%} of top-250 within 5% depth error (need >=70%), {elapsed:.1f}s (need <=10s)",
+        f"{fraction:.1%} of top-{ex.TOP_K} within {ex.DEPTH_TOLERANCE:.0%} depth error (need >=70%), {elapsed:.1f}s (need <=10s)",
     )
     assert fraction >= 0.70
     assert elapsed <= 10.0
 
 
-def _session_rig():
-    from flyswarm.config import rig_from_config
-
-    return rig_from_config({})
-
-
 def test_a2_warning_discrimination(steady_means):
-    ped, empty = steady_means
-    ped_mean = np.mean(list(ped.values()))
-    empty_mean = np.mean(list(empty.values()))
-    ratio = ped_mean / empty_mean
+    ped_mean, empty_mean, ratio = ex.discrimination_ratio(steady_means.values())
     ok = ratio >= 3.0
     report(
         "A2 warning discrimination",
@@ -150,32 +84,7 @@ def test_a2_warning_discrimination(steady_means):
     assert ratio >= 3.0
 
 
-def test_a3_reaction_time(steady_means, sequence_frames_dir, tmp_path):
-    ped, empty = steady_means
-    reactions = {}
-    for seed in SEEDS:
-        out = tmp_path / f"seq-{seed}"
-        code = main(
-            [
-                "sequence",
-                "--left",
-                str(sequence_frames_dir / "L_*.pgm"),
-                "--right",
-                str(sequence_frames_dir / "R_*.pgm"),
-                "--out",
-                str(out),
-                "--seed",
-                str(seed),
-                "--generations",
-                "1",
-            ]
-        )
-        assert code == 0
-        trace = read_trace(out / "warning_trace.csv")
-        assert trace.size == SWITCH_FRAME + POST_SWITCH_FRAMES
-        midpoint = (ped[seed] + empty[seed]) / 2
-        crossed = np.nonzero(trace[SWITCH_FRAME:] > midpoint)[0]
-        reactions[seed] = int(crossed[0]) + 1 if crossed.size else None
+def test_a3_reaction_time(reactions):
     within = sum(1 for r in reactions.values() if r is not None and r <= 30)
     ok = within >= 4
     report(
@@ -188,16 +97,7 @@ def test_a3_reaction_time(steady_means, sequence_frames_dir, tmp_path):
 
 @pytest.mark.timing
 def test_a4_latency(session_rig, pedestrian_pair):
-    swarm = Swarm(session_rig, EvolutionParams())
-    swarm.feed(*pedestrian_pair)
-    for _ in range(3):  # warmup
-        swarm.step()
-    durations = []
-    for _ in range(50):
-        t0 = time.perf_counter()
-        swarm.step()
-        durations.append((time.perf_counter() - t0) * 1e3)
-    mean_ms = float(np.mean(durations))
+    mean_ms = ex.generation_latency(session_rig, pedestrian_pair, EvolutionParams())
     ok = mean_ms <= 20.0
     report("A4 latency", ok, f"mean {mean_ms:.2f} ms/generation at population 5000 (need <=20 ms)")
     assert mean_ms <= 20.0
@@ -372,27 +272,22 @@ def test_a8_intensity_shift_invariance(session_rig, pedestrian_pair):
     assert exact_zero_ok
 
 
-def test_persistent_population_reacts_no_slower(steady_means, session_rig):
+def test_persistent_population_reacts_no_slower(steady_means, reactions, session_rig, pedestrian_pair):
     # restarting fresh at the scene switch must not react faster than the
-    # population that kept refining the previous scene
-    ped, empty = steady_means
+    # population that kept refining the previous scene, whose crossings are A3's
     empty_pair = render_stereo_pair(preset_scene("empty-road", session_rig), session_rig)
-    ped_pair = render_stereo_pair(preset_scene("pedestrian-4m", session_rig), session_rig)
 
-    def crossing(seed, restart):
+    def restarted_crossing(seed):
         swarm = Swarm(session_rig, EvolutionParams(rng_seed=seed))
         swarm.feed(*empty_pair)
-        for _ in range(SWITCH_FRAME):
+        for _ in range(ex.SWITCH_FRAME):
             swarm.step()
-        if restart:
-            swarm.population = Population.initialize(session_rig, swarm.params, swarm.rng)
-        swarm.feed(*ped_pair)
-        midpoint = (ped[seed] + empty[seed]) / 2
-        for g in range(1, POST_SWITCH_FRAMES + 1):
-            if swarm.step().global_mean > midpoint:
-                return g
-        return POST_SWITCH_FRAMES + 1
+        swarm.population = Population.initialize(session_rig, swarm.params, swarm.rng)
+        swarm.feed(*pedestrian_pair)
+        post_switch = (swarm.step().global_mean for _ in range(ex.POST_SWITCH_FRAMES))
+        return ex.first_crossing(post_switch, ex.midpoint(steady_means[seed]))
 
-    persistent = [crossing(s, restart=False) for s in SEEDS[:3]]
-    restarted = [crossing(s, restart=True) for s in SEEDS[:3]]
+    never = ex.POST_SWITCH_FRAMES + 1  # a seed that never crosses counts one past the window
+    persistent = [reactions[seed] or never for seed in ex.SEEDS[:3]]
+    restarted = [restarted_crossing(seed) or never for seed in ex.SEEDS[:3]]
     assert np.mean(restarted) >= np.mean(persistent) - 2.0

@@ -731,6 +731,23 @@ class TestFailureContract:
         assert err == "flyswarm: error: rng_seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    # argparse reads "-5" as a number but took "-1e3" for an option, so these
+    # ended in "argument --seed: expected one argument"; any token float()
+    # reads now reaches the integer rule, as --seed=-1e3 already did
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1e3", "rng_seed must be >= 0, got -1000"),
+            ("--population", "-1e60", "flag --population expects integers below 2**53 in magnitude, got -1e+60"),
+            ("--generations", "-1e0", "generations must be >= 1, got -1"),
+        ],
+    )
+    def test_negative_exponent_flag_reaches_the_integer_rule(self, tmp_path, capsys, flag, value, message):
+        code, out, err = self.run_detect(tmp_path, capsys, flag, value)
+        assert code == 2 and out == ""
+        assert err == f"flyswarm: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     # the model checks the run's own values: these exited 2 when the config's
     # population (5000, then 1) was checked before --population replaced it
     @pytest.mark.filterwarnings("error")
@@ -956,6 +973,15 @@ class TestSequenceCommand:
         )
         assert code == 2
         assert "mismatched pair counts" in capsys.readouterr().err
+
+    # a pattern's files are found by glob; a path without a glob character is read as given
+    @pytest.mark.parametrize("name, error", [("L_*.pgm", "pattern '{}' matches no files"), ("L_0.pgm", "No such file")])
+    def test_missing_frames_exit_2_naming_the_input(self, tmp_path, capsys, name, error):
+        path = str(tmp_path / name)
+        code = main(["sequence", "--left", path, "--right", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and error.format(path) in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestStreamedSequence:
