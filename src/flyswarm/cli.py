@@ -38,10 +38,10 @@ import numpy as np
 
 from .config import (
     ConfigError,
-    KeyLog,
     evolution_params_from_config,
     load_config,
     read_value,
+    reject_unread,
     rig_from_config,
     scene_from_config,
     warning_params_from_config,
@@ -70,14 +70,14 @@ class RunConfig:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
 
 
-def _run_config(args, cfg: KeyLog) -> RunConfig:
+def _run_config(args, cfg: dict) -> RunConfig:
     """The rig, evolution and warning keys, with the flags over them; any
     other key is an error."""
     rig = rig_from_config(cfg)
     evo = evolution_params_from_config(cfg, population_size=args.population, rng_seed=args.seed)
     warn = warning_params_from_config(cfg)
-    cfg.reject_unread()
-    return RunConfig(rig, evo, warn, args.generations, Path(args.out))
+    reject_unread(cfg)
+    return RunConfig(rig, evo, warn, args.generations, args.out)
 
 
 def _read_pairs(rig: StereoRig, lefts: list[str], rights: list[str]) -> Iterator[tuple[Image, Image]]:
@@ -137,17 +137,16 @@ def write_overlays(rc: RunConfig, left: Image, right: Image, pop: Population) ->
     _write_overlay(rc.out_dir / "overlay_right.ppm", right, u_right, v)
 
 
-def cmd_synth(args, cfg: KeyLog) -> int:
+def cmd_synth(args, cfg: dict) -> int:
     rig = rig_from_config(cfg)
     scene = preset_scene(args.preset, rig) if args.preset else scene_from_config(cfg)
-    cfg.reject_unread()
+    reject_unread(cfg)
     left, right = render_stereo_pair(scene, rig)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_pnm(out_dir / "left.pgm", left)
-    write_pnm(out_dir / "right.pgm", right)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_pnm(args.out / "left.pgm", left)
+    write_pnm(args.out / "right.pgm", right)
     rows = [(*r.center, r.width_m, r.height_m, r.texture_seed, r.texture_cell_m) for r in scene.obstacles]
-    _write_csv(out_dir / "truth.csv", "center_x,center_y,center_z,width_m,height_m,texture_seed,texture_cell_m", rows)
+    _write_csv(args.out / "truth.csv", "center_x,center_y,center_z,width_m,height_m,texture_seed,texture_cell_m", rows)
     return 0
 
 
@@ -177,7 +176,7 @@ def _run(rc: RunConfig, frames: Iterable[tuple[Image, Image]]) -> tuple[Swarm, W
     return swarm, final
 
 
-def cmd_detect(args, cfg: KeyLog) -> int:
+def cmd_detect(args, cfg: dict) -> int:
     rc = _run_config(args, cfg)
     left, right = next(_read_pairs(rc.rig, [args.left], [args.right]))
     swarm, final = _run(rc, [(left, right)])
@@ -186,7 +185,7 @@ def cmd_detect(args, cfg: KeyLog) -> int:
     return 0
 
 
-def cmd_sequence(args, cfg: KeyLog) -> int:
+def cmd_sequence(args, cfg: dict) -> int:
     rc = _run_config(args, cfg)
     lefts, rights = _expand_pattern(args.left), _expand_pattern(args.right)
     if len(lefts) != len(rights):
@@ -196,9 +195,15 @@ def cmd_sequence(args, cfg: KeyLog) -> int:
     return 0
 
 
+def _out_dir(text: str) -> Path:
+    if not text:  # Path('') is the working directory, which an empty --out does not name
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return Path(text)
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", metavar="PATH", help="key=value configuration file")
-    sp.add_argument("--out", default="out", metavar="DIR", help="output directory")
+    sp.add_argument("--out", default="out", type=_out_dir, metavar="DIR", help="output directory")
 
 
 class _IntegerFlag(argparse.Action):
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args, KeyLog(load_config(args.config) if args.config else {}))
+        code = args.func(args, {} if args.config is None else load_config(args.config))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -8,6 +8,8 @@ or space-separated numbers. Every key but `obstacle` is read by one rule:
 - it is given at most once; only `obstacle` lines collect, one
   rectangle each;
 - a value the model rejects is a ConfigError, like a malformed one.
+Each reader takes the keys it reads out of the parsed dict, so a key
+left once a command's readers have run is one none of them knows.
 A model's keys are all parsed, in field order, before the model checks
 them, so an error names the first malformed key, else the model's first
 complaint. Example:
@@ -62,32 +64,12 @@ def load_config(path) -> dict[str, list[str]]:
         return parse_config_text(fh.read())
 
 
-class KeyLog(dict):
-    """A parsed config that notes every key looked up in it with ``get``
-    or ``in``, the only lookups the readers make.
-
-    Once a run is built from it, the keys never looked up are the ones no
-    reader knows, so the readers themselves are the list of valid keys.
-    """
-
-    def __init__(self, cfg: dict):
-        super().__init__(cfg)
-        self.read: set[str] = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
-
-    def reject_unread(self) -> None:
-        """ConfigError naming the first key never looked up: a misspelt
-        key would otherwise leave its default in force without a word."""
-        unread = sorted(set(self) - self.read)
-        if unread:
-            raise ConfigError(f"unknown key {unread[0]!r}")
+def reject_unread(cfg: dict) -> None:
+    """ConfigError naming the first key left in ``cfg`` once the readers
+    took theirs: a misspelt key would otherwise leave its default in force
+    without a word."""
+    if cfg:
+        raise ConfigError(f"unknown key {min(cfg)!r}")
 
 
 def _numbers(value: str, name: str) -> list[float]:
@@ -134,11 +116,11 @@ def read_value(values: list[str] | None, name: str, kind: str, default):
 
 def _from_fields(cls, cfg: dict, **given):
     """A ``cls`` whose fields not in ``given`` are read from the key of
-    the field's name, in field order; a value the model rejects is raised
+    the field's name, taken out of ``cfg`` in field order; a value the model rejects is raised
     as a ConfigError, like a malformed one."""
     for f in fields(cls):
         if f.name not in given:
-            given[f.name] = read_value(cfg.get(f.name), f"key {f.name!r}", f.type, f.default)
+            given[f.name] = read_value(cfg.pop(f.name, None), f"key {f.name!r}", f.type, f.default)
     try:
         return cls(**given)
     except ValueError as exc:
@@ -150,8 +132,8 @@ def rig_from_config(cfg: dict) -> StereoRig:
 
 
 def evolution_params_from_config(cfg: dict, **flags) -> EvolutionParams:
-    """The evolution keys, each flag not None over the key of its name, which is still read and parsed."""
-    given = {f.name: read_value(cfg.get(f.name), f"key {f.name!r}", f.type, f.default) for f in fields(EvolutionParams)}
+    """The evolution keys, each flag not None over the key of its name, which is still taken and parsed."""
+    given = {f.name: read_value(cfg.pop(f.name, None), f"key {f.name!r}", f.type, f.default) for f in fields(EvolutionParams)}
     given.update((name, value) for name, value in flags.items() if value is not None)
     return _from_fields(EvolutionParams, cfg, **given)
 
@@ -166,7 +148,7 @@ def scene_from_config(cfg: dict) -> Scene:
     if not any(k in cfg for k in ["obstacle", *numeric_keys]):
         raise ConfigError("no scene: pass --preset or a config file with scene keys")
     obstacles = []
-    for raw in cfg.get("obstacle", []):
+    for raw in cfg.pop("obstacle", []):
         values = _numbers(raw, "key 'obstacle'")
         if len(values) not in (6, 7):
             raise ConfigError(

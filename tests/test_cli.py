@@ -10,6 +10,7 @@ import sys
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from flyswarm import cli
 from flyswarm.cli import main
 from flyswarm.config import (
     ConfigError,
-    KeyLog,
     evolution_params_from_config,
     parse_config_text,
+    reject_unread,
     rig_from_config,
     scene_from_config,
     warning_params_from_config,
@@ -30,7 +31,7 @@ from flyswarm.config import (
 from flyswarm.evolution import EvolutionParams
 from flyswarm.imaging import Image, read_pnm, write_pnm
 from flyswarm.stereo_geometry import StereoRig
-from flyswarm.synth import BAND_ROWS
+from flyswarm.synth import BAND_ROWS, Scene, TexturedRect
 from flyswarm.warning import WarningParams
 
 
@@ -83,12 +84,12 @@ class TestConfig:
 
     def test_flags_over_their_keys(self):
         # a flag that is None leaves its key in force; one that is given
-        # sets the field, and its key is still read (and parsed: see
+        # sets the field, and its key is still taken (and parsed: see
         # TestFailureContract.test_malformed_key_under_a_flag_exits_2)
-        cfg = KeyLog(parse_config_text("population_size = 1\nrng_seed = 9\n"))
+        cfg = parse_config_text("population_size = 1\nrng_seed = 9\n")
         params = evolution_params_from_config(cfg, population_size=100, rng_seed=None)
         assert (params.population_size, params.rng_seed) == (100, 9)
-        assert {"population_size", "rng_seed"} <= cfg.read
+        assert cfg == {}
 
     def test_malformed_rejected(self):
         with pytest.raises(ConfigError):
@@ -196,6 +197,36 @@ KEY_GROUPS = {
     "scene": "obstacle ground_texture_seed background_grey ground_texture_cell_m".split(),
 }
 CONFIG_KEYS = [key for keys in KEY_GROUPS.values() for key in keys]
+# a value of every key that its reader takes and that is not the field's
+# default, no two alike within a model, so a key read into another field shows
+KEY_VALUES = {
+    "focal_length_px": 250.0,
+    "principal_point": (160.5, 119.5),
+    "image_size": (320, 240),
+    "baseline_m": 0.3,
+    "camera_height_m": 1.5,
+    "z_min_m": 2.0,
+    "z_max_m": 12.0,
+    "population_size": 100,
+    "selection_ratio": 0.3,
+    "mutation_fraction": 0.35,
+    "crossover_fraction": 0.45,
+    "mutation_sigma": (0.1, 0.2, 0.3),
+    "neighborhood_radius": 1,
+    "sharing_cell_px": 6,
+    "sharing_exponent": 1.5,
+    "fitness_epsilon": 2.5,
+    "rng_seed": 9,
+    "max_height_m": 2.5,
+    "min_height_m": 0.2,
+    "max_range_m": 14.0,
+    "x_clamp_m": 0.6,
+    "z_clamp_m": 1.1,
+    "obstacle": (0.0, 0.0, 4.0, 0.5, 1.7, 7),
+    "ground_texture_seed": 101,
+    "background_grey": 99,
+    "ground_texture_cell_m": 0.04,
+}
 EVOLVE_GROUPS = ("rig", "evolution", "warning")
 # every way a command takes its scene or pairs, and the key groups it reads
 COMMAND_READS = {
@@ -214,25 +245,40 @@ class KeysChecked(Exception):
     """Ends a command once its unread-key check has passed."""
 
 
+def _text(value) -> str:
+    return ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
 def check_keys(argv, cfg: dict) -> tuple[set[str], ConfigError | None]:
     """Run ``argv``'s command on ``cfg`` up to its unread-key check, which it
-    makes before it renders, decodes or writes anything. Returns the keys it
-    looked up and the ConfigError it raised, if any."""
+    makes before it renders, decodes or writes anything. Returns the keys its
+    readers left in ``cfg``, which they empty of the keys they take, and the
+    ConfigError it raised, if any."""
     args = cli.build_parser().parse_args(list(argv))
-    log = KeyLog(cfg)
 
-    def checked():
-        KeyLog.reject_unread(log)
+    def checked(left):
+        reject_unread(left)
         raise KeysChecked
 
-    log.reject_unread = checked
-    try:
-        args.func(args, log)
-    except KeysChecked:
-        return log.read, None
-    except ConfigError as exc:
-        return log.read, exc
+    with mock.patch.object(cli, "reject_unread", checked):
+        try:
+            args.func(args, cfg)
+        except KeysChecked:
+            return set(cfg), None
+        except ConfigError as exc:
+            return set(cfg), exc
     raise AssertionError(f"{argv} ran without checking its keys")
+
+
+def taken_keys(argv) -> set[str]:
+    """The keys ``argv``'s command takes from a config that offers every
+    documented key at its KEY_VALUES value and every field name of a model
+    the readers build, so a reader of an undocumented field name shows."""
+    models = (StereoRig, EvolutionParams, WarningParams, Scene, TexturedRect)
+    offered = {f.name: ["1"] for model in models for f in dataclasses.fields(model)}
+    offered.update((key, [_text(value)]) for key, value in KEY_VALUES.items())
+    left, _ = check_keys(argv, dict(offered))
+    return set(offered) - left
 
 
 _number = st.one_of(
@@ -257,28 +303,31 @@ def test_config_fuzz_yields_value_or_config_error(text):
         cfg = parse_config_text(text)
     except ConfigError:
         return
+    # each build takes its keys out of its own copy
     for build in (rig_from_config, evolution_params_from_config, warning_params_from_config, scene_from_config):
         try:
-            build(cfg)
+            build(dict(cfg))
         except ConfigError:
             pass
     # each command passes its key check, or fails naming an unknown key,
-    # exactly as the text holds no key or some key outside the groups it reads
+    # exactly as the text holds no key or some key outside the groups it
+    # reads; either way its readers have taken every key but those
     for argv, groups in COMMAND_READS.items():
         unknown = set(cfg) - group_keys(groups)
-        _, error = check_keys(argv, cfg)
+        left, error = check_keys(argv, dict(cfg))
         if error is None:
-            assert not unknown, argv
+            assert not unknown and not left, argv
         elif "unknown key" in str(error):
-            assert any(str(error) == f"unknown key {key!r}" for key in unknown), argv
+            assert left == unknown and str(error) == f"unknown key {min(unknown)!r}", argv
 
 
 def test_documented_keys_are_the_keys_a_run_reads():
-    # the readers are the only list of valid keys; with no config at all
-    # each command still looks up every key it reads, flag-overridden ones too
+    # the readers are the only list of valid keys; offered every key, each
+    # command takes the keys of its groups, flag-overridden ones too, and no other
+    assert set(KEY_VALUES) == set(CONFIG_KEYS)
     for argv, groups in COMMAND_READS.items():
-        read, _ = check_keys([*argv, "--population", "5", "--seed", "5"] if "evolution" in groups else argv, {})
-        assert read == group_keys(groups), argv
+        taken = taken_keys([*argv, "--population", "5", "--seed", "5"] if "evolution" in groups else argv)
+        assert taken == group_keys(groups), argv
     assert set().union(*COMMAND_READS.values()) == set(KEY_GROUPS)
 
 
@@ -291,10 +340,14 @@ def test_documented_keys_are_the_keys_a_run_reads():
     ],
 )
 def test_each_key_is_the_field_of_its_name(build, model):
-    # the rig once read image_size into an inner model's two fields
-    log = KeyLog({})
-    assert build(log) == model()
-    assert log.read == {f.name for f in dataclasses.fields(model)}
+    # the rig once read image_size into an inner model's two fields; each
+    # key, set off its default, is taken and its value is the field's
+    names = [f.name for f in dataclasses.fields(model)]
+    cfg = parse_config_text("".join(f"{name} = {_text(KEY_VALUES[name])}\n" for name in names))
+    built = build(cfg)
+    assert cfg == {}
+    for name in names:
+        assert getattr(built, name) == KEY_VALUES[name] != getattr(model(), name), name
 
 
 def test_readme_lists_the_keys_a_run_reads():
@@ -302,7 +355,7 @@ def test_readme_lists_the_keys_a_run_reads():
     # names a key, and each group's bullet names the commands that read it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration file\n", 1)[1].split("\n## ", 1)[0]
-    reads = {argv: check_keys(argv, {})[0] for argv in COMMAND_READS}
+    reads = {argv: taken_keys(argv) for argv in COMMAND_READS}
     assert set(re.findall(r"`([a-z][a-z0-9_]*)`", section)) == set().union(*reads.values())
     bullets = {b.split(",", 1)[0]: b.split("\n\n", 1)[0] for b in section.split("\n- ")[1:]}
     assert set(bullets) == set(KEY_GROUPS)
@@ -711,6 +764,38 @@ class TestFailureContract:
         assert not (tmp_path / "out").exists()
 
     # argparse named the flag ("argument --seed: invalid int value"); the keys' reader names it too
+    # Path('') is the working directory, so --out '' wrote every output
+    # there, and --config '' ran as if no config had been given
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("synth", flag) for flag in ("--config", "--out", "--preset")]
+        + [
+            (command, flag)
+            for command in ("detect", "sequence")
+            for flag in ("--config", "--out", "--left", "--right", "--generations", "--population", "--seed")
+        ],
+    )
+    def test_empty_flag_value_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch, command, flag):
+        conf = tmp_path / "run.conf"
+        conf.write_text("baseline_m = 0.4\n")  # a rig key every command reads, at its default
+        values = {"--config": str(conf), "--out": "out"}
+        if command == "synth":
+            values["--preset"] = "empty-road"
+        else:
+            values.update({"--left": self.pair[1], "--right": self.pair[3]})
+            values.update({"--generations": "1", "--population": "8", "--seed": "1"})
+        values[flag] = ""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        code = main([command, *(arg for item in values.items() for arg in item)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("flyswarm: error:") and captured.err.count("\n") == 1
+        assert list(work.iterdir()) == []
+
     def test_malformed_flag_is_named(self, tmp_path, capsys):
         code, out, err = self.run_detect(tmp_path, capsys, "--seed", "abc")
         assert code == 2 and out == ""
